@@ -207,7 +207,8 @@ def cmd_score(args) -> int:
         seed = _require_seed(cfg)
     grids = _grid_index(ctc.load_grids(_path(args, cfg, "grids", "grids"),
                                        cfg.renormalize))
-    manifest = data.load_manifest(_path(args, cfg, "refs", "refs"))
+    refs_path = _path(args, cfg, "refs", "refs")
+    manifest = data.load_manifest(refs_path)
     model = load_scorer(_path(args, cfg, "scorer", "scorer"))
     records = []
     for rec in manifest.records:
@@ -215,6 +216,12 @@ def cmd_score(args) -> int:
         if grid is None:
             raise FormatError(f"no grid for utterance {rec.utterance_id!r}",
                               path=_path(args, cfg, "grids", "grids"))
+        # the scorer has no lid token for an unseen language, so the text
+        # cannot be scored: the refs file does not fit this scorer
+        if rec.text.lid not in model.languages:
+            raise FormatError(f"utterance {rec.utterance_id!r} has language "
+                              f"{rec.text.lid!r}, which the scorer does not know",
+                              path=refs_path)
         records.append((grid, rec.text))
 
     normalize = bool(cfg.normalize_weights) if cfg.normalize_weights is not None else False

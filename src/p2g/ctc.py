@@ -9,6 +9,7 @@ flows through an explicit numpy Generator.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -268,48 +269,52 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
         raise ValueError("beam_width must be >= k")
 
     lp = grid.logp
-    width = lp.shape[1]
-    # prefix -> [blank-ending mass, non-blank-ending mass]
-    beam: dict[PhonemeSequence, list[float]] = {(): [0.0, LOG_ZERO]}
+    # (prefix, blank-ending mass, non-blank-ending mass, total), best first
+    beam: list[tuple[PhonemeSequence, float, float, float]] = [((), 0.0, LOG_ZERO, 0.0)]
 
     for t in range(grid.frames):
-        row = lp[t]
+        # one row at a time: Python floats are cheap to add and compare, and
+        # converting the whole grid up front would hold a second copy of it
+        row = lp[t].tolist()
+        blank = row[BLANK]
+        labels = [(c, pc) for c, pc in enumerate(row) if c != BLANK and pc != LOG_ZERO]
+        # prefix -> [blank-ending mass, non-blank-ending mass]
         grown: dict[PhonemeSequence, list[float]] = {}
 
-        def cell(prefix: PhonemeSequence) -> list[float]:
+        for prefix, pb, pnb, total in beam:
             entry = grown.get(prefix)
             if entry is None:
-                entry = [LOG_ZERO, LOG_ZERO]
-                grown[prefix] = entry
-            return entry
-
-        for prefix, (pb, pnb) in beam.items():
-            total = log_add(pb, pnb)
-            entry = cell(prefix)
-            entry[0] = log_add(entry[0], total + row[BLANK])
+                entry = grown[prefix] = [LOG_ZERO, LOG_ZERO]
+            entry[0] = log_add(entry[0], total + blank)
             last = prefix[-1] if prefix else BLANK
-            for c in range(1, width):
-                pc = row[c]
-                if pc == LOG_ZERO:
-                    continue
+            for c, pc in labels:
                 if c == last:
                     # repeat frame extends the run; a blank-separated repeat
                     # grows the prefix from the blank-ending mass only
                     entry[1] = log_add(entry[1], pnb + pc)
-                    if pb != LOG_ZERO:
-                        target = cell(prefix + (c,))
-                        target[1] = log_add(target[1], pb + pc)
+                    if pb == LOG_ZERO:
+                        continue
+                    mass = pb + pc
                 else:
-                    target = cell(prefix + (c,))
-                    target[1] = log_add(target[1], total + pc)
+                    mass = total + pc
+                longer = prefix + (c,)
+                target = grown.get(longer)
+                if target is None:
+                    grown[longer] = [LOG_ZERO, mass]
+                else:
+                    target[1] = log_add(target[1], mass)
 
-        live = [(p, m) for p, m in grown.items() if log_add(m[0], m[1]) != LOG_ZERO]
-        live.sort(key=lambda it: (-log_add(it[1][0], it[1][1]), len(it[0]), it[0]))
-        beam = dict(live[:beam_width])
+        ranked = []
+        for prefix, (mb, mnb) in grown.items():
+            total = log_add(mb, mnb)
+            if total != LOG_ZERO:
+                ranked.append((-total, len(prefix), prefix, mb, mnb))
+        # nsmallest equals sorted(...)[:beam_width]; prefixes are distinct,
+        # so the mass fields never take part in the comparison
+        beam = [(prefix, mb, mnb, -neg)
+                for neg, _, prefix, mb, mnb in heapq.nsmallest(beam_width, ranked)]
 
-    final = [(p, log_add(m[0], m[1])) for p, m in beam.items()]
-    final.sort(key=lambda it: (-it[1], len(it[0]), it[0]))
-    return [ScoredHypothesis(sequence=p, log_score=s) for p, s in final[:k]]
+    return [ScoredHypothesis(sequence=p, log_score=total) for p, _, _, total in beam[:k]]
 
 
 def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:

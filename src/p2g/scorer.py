@@ -81,11 +81,16 @@ class NGramScorer:
             raise ValueError("context_window must be >= 0")
         if not self.languages:
             raise ValueError("scorer needs at least one language")
+        # candidate units of step 0 (lid tokens) and of every later step
+        lids = tuple(lid_token(c) for c in self.languages)
+        later = self.units + (EOS,)
+        object.__setattr__(self, "_cands", (lids, later))
+        object.__setattr__(self, "_cand_sets", (frozenset(lids), frozenset(later)))
 
     @property
     def vocab(self) -> tuple[str, ...]:
         """Full output inventory: lid tokens, grapheme units, end marker."""
-        return tuple(lid_token(c) for c in self.languages) + self.units + (EOS,)
+        return self._cands[0] + self._cands[1]  # type: ignore[attr-defined]
 
     # ---- state handling ------------------------------------------------
 
@@ -107,27 +112,30 @@ class NGramScorer:
             hist = (BOS,) * (need - len(hist)) + hist
         return ctx, hist
 
-    def _candidates(self, step: int) -> tuple[str, ...]:
-        if step == 0:
-            return tuple(lid_token(c) for c in self.languages)
-        return self.units + (EOS,)
+    def _normalizer(self, key: StateKey,
+                    step: int) -> tuple[tuple[str, ...], dict[str, int], float]:
+        """The step's candidate set, the key's count bucket, and the smoothed
+        denominator ``total + alpha * len(candidates)`` shared by every
+        log-prob of the step."""
+        which = 0 if step == 0 else 1
+        cands = self._cands[which]  # type: ignore[attr-defined]
+        cand_set = self._cand_sets[which]  # type: ignore[attr-defined]
+        bucket = self.counts.get(key, {})
+        # integer counts: summing the bucket's few candidate entries gives
+        # the same total as summing over every candidate
+        total = sum(n for unit, n in bucket.items() if unit in cand_set)
+        return cands, bucket, total + self.smoothing_alpha * len(cands)
 
     def _distribution(self, key: StateKey, step: int) -> list[tuple[str, float]]:
         """Smoothed conditional over the step's candidate set; sums to 1."""
-        cands = self._candidates(step)
-        bucket = self.counts.get(key, {})
-        total = sum(bucket.get(c, 0) for c in cands)
+        cands, bucket, denom = self._normalizer(key, step)
         alpha = self.smoothing_alpha
-        denom = total + alpha * len(cands)
         return [(c, math.log((bucket.get(c, 0) + alpha) / denom)) for c in cands]
 
     def _step_log_prob(self, key: StateKey, step: int, unit: str) -> float:
-        cands = self._candidates(step)
-        bucket = self.counts.get(key, {})
-        total = sum(bucket.get(c, 0) for c in cands)
-        alpha = self.smoothing_alpha
+        _, bucket, denom = self._normalizer(key, step)
         # an out-of-vocabulary unit scores at the smoothing floor
-        return math.log((bucket.get(unit, 0) + alpha) / (total + alpha * len(cands)))
+        return math.log((bucket.get(unit, 0) + self.smoothing_alpha) / denom)
 
     # ---- scoring -------------------------------------------------------
 
@@ -163,6 +171,14 @@ class NGramScorer:
         Hypotheses are expanded level by level; at ``max_len`` graphemes only
         the end marker may follow, so every returned string is complete and
         its score equals ``log_score`` of that text exactly.
+
+        The search stops early, with the same result as running all
+        ``max_len + 1`` levels, once s texts are complete and the best live
+        partial scores strictly below the s-th best of them. Every step adds
+        a log-prob <= 0 and every later completion extends a partial of the
+        current layer, so no later text can score above that partial or
+        enter the top s. The test is strict so that a later text tying the
+        s-th score still competes on the ``(lid, graphemes)`` tie-break.
         """
         if s < 1:
             raise ValueError("s must be >= 1")
@@ -173,6 +189,7 @@ class NGramScorer:
         if width < 1:
             raise ValueError("beam_width must be >= 1")
 
+        # the best (at most s) complete texts so far, best first
         completed: list[tuple[float, TargetText]] = []
         key = self._state_key(phonemes, 0, ())
         layer = [((unit,), lp) for unit, lp in self._distribution(key, 0)]
@@ -181,6 +198,8 @@ class NGramScorer:
 
         step = 1
         while layer and step <= max_len + 1:
+            if len(completed) == s and layer[0][1] < completed[-1][0]:
+                break
             grown: list[tuple[tuple[str, ...], float]] = []
             for stream, score in layer:
                 key = self._state_key(phonemes, step, stream)
@@ -191,12 +210,13 @@ class NGramScorer:
                         completed.append((score + lp, text))
                     elif step <= max_len:
                         grown.append((stream + (unit,), score + lp))
+            completed.sort(key=lambda it: (-it[0], it[1]))
+            del completed[s:]
             grown.sort(key=lambda it: (-it[1], it[0]))
             layer = grown[:width]
             step += 1
 
-        completed.sort(key=lambda it: (-it[0], it[1]))
-        return [(text, score) for score, text in completed[:s]]
+        return [(text, score) for score, text in completed]
 
     def predict_lid(self, phonemes: Sequence[str]) -> str:
         """Most probable language for the phonemes; ties take the

@@ -120,6 +120,22 @@ def test_tkm_score_needs_no_seed(workdir, tmp_path):
                      "--out", str(tmp_path / "n.jsonl")]) == 0
 
 
+def test_score_refs_with_unknown_language_exits_2(workdir, tmp_path, capsys):
+    rows = [json.loads(l) for l in
+            (workdir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows[-1]["lang"] = "fr"
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "n.jsonl"
+    code = cli.main(["score", "--grids", str(workdir / "grids.jsonl"),
+                     "--refs", str(refs), "--scorer", str(workdir / "scorer.json"),
+                     "--method", "tkm", "--k", "2", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert str(refs) in captured.err and "'fr'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_negative_seed_rejected(workdir, tmp_path):
     assert cli.main(["sample", "--in", str(workdir / "grids.jsonl"),
                      "--out", str(tmp_path / "s"), "--k", "1",

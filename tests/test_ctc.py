@@ -258,6 +258,12 @@ def test_beam_deterministic_tie_break(tiny_alphabet):
     assert [h.sequence for h in hyps] == [(), (1,), (2,)]
 
 
+def test_beam_scores_are_python_floats():
+    rng = np.random.default_rng(4)
+    hyps = prefix_beam_search(make_grid(rng, frames=3), 8, 4)
+    assert hyps and all(type(h.log_score) is float for h in hyps)
+
+
 # ---- persistence --------------------------------------------------------
 
 

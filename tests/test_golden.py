@@ -1,0 +1,74 @@
+"""Golden digests: the sha256 of every artifact of one small seeded CLI run.
+
+c11 compares two runs of the same code, so it cannot see an output change
+between versions. These digests were recorded before the decode and beam
+speedups and must not move: a refactor or an exact optimization keeps every
+output byte. A change that alters outputs on purpose records new digests
+and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from p2g import cli, synth
+from p2g.ctc import save_grids
+from p2g.data import save_manifest
+
+GOLDEN = {
+    "grids.jsonl":
+        "6a3cc09df52fab76015c3694d813711a2a24ec4eeb93412681f0b418e9342b8d",
+    "manifest.jsonl":
+        "6d63e9e4d56a0fdc387363900cce643df9c46c72cde0f5c0f01fbd023c64bfe5",
+    "beam.jsonl":
+        "78728adaca3dd88292a5498b8c23d9cffb3388a7c07c7838d9f95928019a7073",
+    "train.txt":
+        "7f4895878a6e1fb482aea5009f7c4b16c4ddff1781f4a08373e386fd358a7660",
+    "scorer.json":
+        "df25fcd647dbb66c8eb934751fac59645e8ae0f0602fc7a5fcfb92911641b373",
+    "decoded.jsonl":
+        "421cf3a9a9bef2d45989e4946b87a8aa6d8094171e04962e63a25fc71cde5067",
+    "decoded_short.jsonl":
+        "07ddf092d52f466d526ead89c33b92d8e74069d1d1a452d1289773f26150c720",
+    "score_tkm.jsonl":
+        "377bc1f639df1fe10c4208eb30b4becd16f0ff4cf50cfa7ca857338733dd0213",
+    "score_skm.jsonl":
+        "f5fa709c2c00c7876b446d3537833e9ba074f6882f62fd19a0d7daf3c16f2f5c",
+    "score_sskm.jsonl":
+        "7aa77ca8da00055952f71184e919160417d960febf6cad8a58328f2423fe3761",
+}
+
+
+def _run(root) -> None:
+    grids, manifest = synth.build_corpus(seed=42, utts_per_lang=4)
+    save_grids(grids, root / "grids.jsonl")
+    save_manifest(manifest, root / "manifest.jsonl")
+    g, refs, model = (str(root / n) for n in ("grids.jsonl", "manifest.jsonl",
+                                              "scorer.json"))
+    steps = [
+        ["beam", "--in", g, "--k", "4", "--beam-width", "8",
+         "--out", str(root / "beam.jsonl")],
+        ["augment", "--grids", g, "--refs", refs, "--n-best", "4",
+         "--out", str(root / "train.txt")],
+        ["train-scorer", "--in", str(root / "train.txt"), "--order", "2",
+         "--out", model],
+        ["decode", "--grids", g, "--scorer", model, "--k", "4", "--s", "2",
+         "--out", str(root / "decoded.jsonl")],
+        # a short max_len forces completions at the length cap
+        ["decode", "--grids", g, "--scorer", model, "--k", "2", "--s", "6",
+         "--max-len", "3", "--out", str(root / "decoded_short.jsonl")],
+    ]
+    for method in ("tkm", "skm", "sskm"):
+        steps.append(["score", "--grids", g, "--refs", refs, "--scorer", model,
+                      "--method", method, "--k", "8", "--seed", "5",
+                      "--out", str(root / f"score_{method}.jsonl")])
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+
+
+def test_artifact_digests_are_pinned(tmp_path):
+    _run(tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN}
+    for name, want in GOLDEN.items():
+        assert got[name] == want, f"{name} changed: sha256 {got[name]}"
