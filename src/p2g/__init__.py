@@ -35,7 +35,8 @@ from .data import (
     save_training_lines,
     serialize_training_line,
 )
-from .decode import DecodeResult, decode, load_hypotheses, pool_and_rescore, save_decode_results
+# the decode function stays at p2g.decode.decode, so p2g.decode is the module
+from .decode import DecodeResult, load_hypotheses, pool_and_rescore, save_decode_results
 from .ioutil import FormatError
 from .marginal import (
     BatchObjective,
@@ -70,7 +71,6 @@ __all__ = [
     "aggregate",
     "batch_objective",
     "collapse",
-    "decode",
     "derive_rng",
     "edit_distance",
     "error_rate",

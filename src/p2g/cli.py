@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -39,32 +40,51 @@ class ConfigError(ValueError):
     pass
 
 
+def _opt(default, *, low=None, flag=None, help=None, choices=None):
+    """Declare one option: ``flag`` defaults to ``--`` plus the field name
+    with dashes; an integer must be >= ``low``, a string one of ``choices``."""
+    return field(default=default, metadata={"low": low, "flag": flag,
+                                            "help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    seed: int | None = None
-    k: int = 8
-    s: int = 4
-    beam_width: int = 16
-    n_best: int = 16
-    target_hours: float = 240.0
-    method: str = "sskm"
-    normalize_weights: bool | None = None  # commands pick their own default
-    resample: bool = False
-    include_clean: bool = False
-    max_len: int = 64
-    order: int = 3
-    smoothing_alpha: float = 0.1
-    context_window: int = 1
-    epochs: int = 1
-    temperature: float = 1.0
-    renormalize: bool = False
+    """Every command option, declared once. The annotation gives the type; a
+    config file key is the field name. Floats must be finite and > 0."""
+
+    seed: int | None = _opt(None, low=0, help="global random seed")
+    k: int = _opt(8, low=1, help="phoneme hypotheses per utterance")
+    s: int = _opt(4, low=1, help="texts generated per hypothesis")
+    beam_width: int = _opt(16, low=1, help="prefix beam width")
+    n_best: int = _opt(16, low=1, help="noisy phoneme sequences per utterance")
+    target_hours: float = _opt(240.0, help="hours to oversample each language up to")
+    method: str = _opt("sskm", choices=("tkm", "skm", "sskm"),
+                       help="marginal estimator")
+    # None lets each command pick its own default: off for score, on for decode
+    normalize_weights: bool | None = _opt(
+        None, help="rescale hypothesis weights to sum to one")
+    resample: bool = _opt(False, help="draw fresh samples each epoch")
+    include_clean: bool = _opt(False, help="also emit the reference phonemes")
+    max_len: int = _opt(64, low=0, help="longest generated text, in graphemes")
+    order: int = _opt(3, low=1, help="n-gram order")
+    smoothing_alpha: float = _opt(0.1, flag="--alpha", help="additive smoothing")
+    context_window: int = _opt(1, low=0, flag="--window",
+                               help="phonemes of context on each side")
+    epochs: int = _opt(1, low=1, help="passes over the references")
+    temperature: float = _opt(1.0, help="sampling temperature")
+    renormalize: bool = _opt(False, help="renormalize grid rows on load")
+    table: bool = _opt(True, help="print the aligned text table")
     paths: dict = field(default_factory=dict)
 
 
-_INT_FIELDS = {"seed", "k", "s", "beam_width", "n_best", "max_len", "order",
-               "context_window", "epochs"}
-_FLOAT_FIELDS = {"target_hours", "smoothing_alpha", "temperature"}
-_BOOL_FIELDS = {"normalize_weights", "resample", "include_clean", "renormalize"}
+_OPTIONS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "paths"}
+# annotations are strings here (postponed evaluation); the first member names
+# the kind, and "| None" only means the option may be left unset
+_KINDS = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _kind(f: dataclasses.Field) -> type:
+    return _KINDS[f.type.split(" | ")[0]]
 
 
 def _load_config_file(path) -> dict:
@@ -81,65 +101,50 @@ def _load_config_file(path) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by explicit flags."""
-    values = {f.name: (dict() if f.name == "paths" else f.default)
-              for f in dataclasses.fields(RunConfig)}
+    values = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        for key, val in _load_config_file(config_path).items():
-            if key not in values:
+        values = _load_config_file(config_path)
+        for key in values:
+            if key != "paths" and key not in _OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[key] = val
-    for key in values:
-        if key == "paths":
-            continue
-        flag = getattr(args, key, None)
+    for name in _OPTIONS:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[key] = flag
+            values[name] = flag
     cfg = RunConfig(**values)
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    for name in _INT_FIELDS:
-        val = getattr(cfg, name)
-        if val is None and name == "seed":
-            continue
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{name} must be an integer")
-    for name in _FLOAT_FIELDS:
-        val = getattr(cfg, name)
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{name} must be a number")
-    for name in _BOOL_FIELDS:
-        val = getattr(cfg, name)
-        if val is not None and not isinstance(val, bool):
-            raise ConfigError(f"{name} must be a boolean")
-    if not isinstance(cfg.paths, dict):
+    if not (isinstance(cfg.paths, dict)
+            and all(isinstance(v, str) for v in cfg.paths.values())):
         raise ConfigError("paths must be an object of name -> file path")
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    for name in ("k", "s", "beam_width", "n_best", "order", "epochs"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    if cfg.max_len < 0:
-        raise ConfigError("max_len must be >= 0")
-    if cfg.context_window < 0:
-        raise ConfigError("context_window must be >= 0")
-    if cfg.target_hours <= 0:
-        raise ConfigError("target_hours must be positive")
-    if cfg.smoothing_alpha <= 0:
-        raise ConfigError("smoothing_alpha must be positive")
-    if cfg.temperature <= 0:
-        raise ConfigError("temperature must be positive")
-    if cfg.method not in ("tkm", "skm", "sskm"):
-        raise ConfigError(f"method must be tkm, skm, or sskm, not {cfg.method!r}")
+    for name, f in _OPTIONS.items():
+        val, kind, meta = getattr(cfg, name), _kind(f), f.metadata
+        if val is None and f.default is None:
+            continue  # left unset
+        if kind is bool:
+            ok, rule = isinstance(val, bool), "a boolean"
+        elif kind is int:
+            ok = type(val) is int and val >= meta["low"]
+            rule = f"an integer >= {meta['low']}"
+        elif kind is float:
+            # NaN fails every comparison, so the range test rejects it too
+            ok = type(val) in (int, float) and 0 < val < math.inf
+            rule = "a finite number > 0"
+        else:
+            ok, rule = val in meta["choices"], "one of " + ", ".join(meta["choices"])
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, not {val!r}")
 
 
-def _path(args: argparse.Namespace, cfg: RunConfig, dest: str, key: str) -> str:
-    value = getattr(args, dest, None) or cfg.paths.get(key)
+def _path(args: argparse.Namespace, cfg: RunConfig, key: str) -> str:
+    # a path flag's dest is its config key; no option shares a path key's name
+    value = getattr(args, key, None) or cfg.paths.get(key)
     if not value:
-        raise ConfigError(f"missing --{key.replace('_', '-')} (or config paths.{key})")
+        raise ConfigError(f"missing --{key} (or config paths.{key})")
     return value
 
 
@@ -149,21 +154,30 @@ def _require_seed(cfg: RunConfig) -> int:
     return cfg.seed
 
 
-def _grid_index(grids) -> dict[str, ctc.PosteriorGrid]:
+def _refs_with_grids(args, cfg: RunConfig
+                     ) -> list[tuple[data.UtteranceRecord, ctc.PosteriorGrid]]:
+    """(record, grid) for every refs record, matched by utterance id."""
+    grids_path = _path(args, cfg, "grids")
     index: dict[str, ctc.PosteriorGrid] = {}
-    for grid in grids:
+    for grid in ctc.load_grids(grids_path, cfg.renormalize):
         if grid.utterance_id in index:
             raise ConfigError(f"duplicate grid id {grid.utterance_id!r}")
         index[grid.utterance_id] = grid
-    return index
+    pairs = []
+    for rec in data.load_manifest(_path(args, cfg, "refs")).records:
+        grid = index.get(rec.utterance_id)
+        if grid is None:
+            raise FormatError(f"no grid for utterance {rec.utterance_id!r}",
+                              path=grids_path)
+        pairs.append((rec, grid))
+    return pairs
 
 
 # ---- commands -----------------------------------------------------------
 
 
-def cmd_beam(args) -> int:
-    cfg = resolve_config(args)
-    grids = ctc.load_grids(_path(args, cfg, "in_path", "in"), cfg.renormalize)
+def cmd_beam(args, cfg: RunConfig) -> int:
+    grids = ctc.load_grids(_path(args, cfg, "in"), cfg.renormalize)
     lines = []
     for grid in grids:
         hyps = ctc.prefix_beam_search(grid, cfg.beam_width, cfg.k)
@@ -172,15 +186,14 @@ def cmd_beam(args) -> int:
             "hyps": [{"phonemes": list(grid.alphabet.to_symbols(h.sequence)),
                       "logp": h.log_score} for h in hyps],
         }, ensure_ascii=False))
-    atomic_write_lines(_path(args, cfg, "out", "out"), lines)
+    atomic_write_lines(_path(args, cfg, "out"), lines)
     log.info("beam: %d utterances", len(grids))
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = resolve_config(args)
+def cmd_sample(args, cfg: RunConfig) -> int:
     seed = _require_seed(cfg)
-    grids = ctc.load_grids(_path(args, cfg, "in_path", "in"), cfg.renormalize)
+    grids = ctc.load_grids(_path(args, cfg, "in"), cfg.renormalize)
     lines = []
     for grid in grids:
         rng = derive_rng(seed, grid.utterance_id)
@@ -189,7 +202,7 @@ def cmd_sample(args) -> int:
             "id": grid.utterance_id,
             "samples": [list(grid.alphabet.to_symbols(s)) for s in seqs],
         }, ensure_ascii=False))
-    atomic_write_lines(_path(args, cfg, "out", "out"), lines)
+    atomic_write_lines(_path(args, cfg, "out"), lines)
     return 0
 
 
@@ -199,38 +212,28 @@ def _epoch_seed(seed: int, epoch: int, resample: bool) -> int:
     return int(np.random.SeedSequence([seed, epoch]).generate_state(1)[0])
 
 
-def cmd_score(args) -> int:
-    cfg = resolve_config(args)
+def cmd_score(args, cfg: RunConfig) -> int:
     method = marginal.Method(cfg.method)
     seed = cfg.seed
     if method in (marginal.Method.SKM, marginal.Method.SSKM):
         seed = _require_seed(cfg)
-    grids = _grid_index(ctc.load_grids(_path(args, cfg, "grids", "grids"),
-                                       cfg.renormalize))
-    refs_path = _path(args, cfg, "refs", "refs")
-    manifest = data.load_manifest(refs_path)
-    model = load_scorer(_path(args, cfg, "scorer", "scorer"))
-    records = []
-    for rec in manifest.records:
-        grid = grids.get(rec.utterance_id)
-        if grid is None:
-            raise FormatError(f"no grid for utterance {rec.utterance_id!r}",
-                              path=_path(args, cfg, "grids", "grids"))
+    pairs = _refs_with_grids(args, cfg)
+    model = load_scorer(_path(args, cfg, "scorer"))
+    for rec, _ in pairs:
         # the scorer has no lid token for an unseen language, so the text
         # cannot be scored: the refs file does not fit this scorer
         if rec.text.lid not in model.languages:
             raise FormatError(f"utterance {rec.utterance_id!r} has language "
                               f"{rec.text.lid!r}, which the scorer does not know",
-                              path=refs_path)
-        records.append((grid, rec.text))
+                              path=_path(args, cfg, "refs"))
+    records = [(grid, rec.text) for rec, grid in pairs]
 
-    normalize = bool(cfg.normalize_weights) if cfg.normalize_weights is not None else False
     lines = []
     for epoch in range(cfg.epochs):
         batch = marginal.batch_objective(
             records, model, method, cfg.k,
             seed=_epoch_seed(seed if seed is not None else 0, epoch, cfg.resample),
-            beam_width=cfg.beam_width, normalize_weights=normalize)
+            beam_width=cfg.beam_width, normalize_weights=bool(cfg.normalize_weights))
         for utt_id, nll in batch.per_record:
             obj = {"id": utt_id, "method": method.value, "k": cfg.k,
                    "log_marginal": -nll}
@@ -239,95 +242,116 @@ def cmd_score(args) -> int:
             lines.append(json.dumps(obj, ensure_ascii=False))
         print(f"epoch {epoch}: mean nll {batch.mean_nll:.6f} "
               f"({method.value}, k={cfg.k}, {len(records)} utterances)")
-    atomic_write_lines(_path(args, cfg, "out", "out"), lines)
+    atomic_write_lines(_path(args, cfg, "out"), lines)
     return 0
 
 
-def cmd_decode(args) -> int:
-    cfg = resolve_config(args)
-    grids = ctc.load_grids(_path(args, cfg, "grids", "grids"), cfg.renormalize)
-    model = load_scorer(_path(args, cfg, "scorer", "scorer"))
-    normalize = bool(cfg.normalize_weights) if cfg.normalize_weights is not None else True
+def cmd_decode(args, cfg: RunConfig) -> int:
+    grids = ctc.load_grids(_path(args, cfg, "grids"), cfg.renormalize)
+    model = load_scorer(_path(args, cfg, "scorer"))
     items = []
     for grid in grids:
         result = decode_grid(grid, model, cfg.k, cfg.s,
-                                   beam_width=cfg.beam_width, max_len=cfg.max_len,
-                                   normalize_weights=normalize)
+                             beam_width=cfg.beam_width, max_len=cfg.max_len,
+                             normalize_weights=cfg.normalize_weights is not False)
         items.append((grid.utterance_id, result))
-    save_decode_results(items, _path(args, cfg, "out", "out"))
+    save_decode_results(items, _path(args, cfg, "out"))
     log.info("decode: %d utterances", len(items))
     return 0
 
 
-def cmd_augment(args) -> int:
-    cfg = resolve_config(args)
-    grids = _grid_index(ctc.load_grids(_path(args, cfg, "grids", "grids"),
-                                       cfg.renormalize))
-    manifest = data.load_manifest(_path(args, cfg, "refs", "refs"))
+def cmd_augment(args, cfg: RunConfig) -> int:
+    pairs = _refs_with_grids(args, cfg)
     width = max(cfg.beam_width, cfg.n_best)
-    pairs = []
-    for rec in manifest.records:
-        grid = grids.get(rec.utterance_id)
-        if grid is None:
-            raise FormatError(f"no grid for utterance {rec.utterance_id!r}",
-                              path=_path(args, cfg, "grids", "grids"))
-        pairs.extend(data.generate_danp(grid, rec, cfg.n_best, beam_width=width,
+    lines = []
+    for rec, grid in pairs:
+        lines.extend(data.generate_danp(grid, rec, cfg.n_best, beam_width=width,
                                         include_clean=cfg.include_clean))
-    data.save_training_lines(pairs, _path(args, cfg, "out", "out"))
-    log.info("augment: %d pairs from %d records", len(pairs), len(manifest))
+    data.save_training_lines(lines, _path(args, cfg, "out"))
+    log.info("augment: %d pairs from %d records", len(lines), len(pairs))
     return 0
 
 
-def cmd_balance(args) -> int:
-    cfg = resolve_config(args)
+def cmd_balance(args, cfg: RunConfig) -> int:
     seed = _require_seed(cfg)
-    manifest = data.load_manifest(_path(args, cfg, "in_path", "in"))
+    manifest = data.load_manifest(_path(args, cfg, "in"))
     balanced = data.oversample_manifest(manifest, cfg.target_hours,
                                         derive_rng(seed, "balance"))
-    data.save_manifest(balanced, _path(args, cfg, "out", "out"))
+    data.save_manifest(balanced, _path(args, cfg, "out"))
     for lang, st in data.manifest_stats(balanced).items():
         log.info("balance: %s %.2fh -> %.2fh (x%.2f, %d records)", lang,
                  st.original_hours, st.hours, st.repetition_factor, st.records)
     return 0
 
 
-def cmd_train_scorer(args) -> int:
-    cfg = resolve_config(args)
-    pairs = data.load_training_lines(_path(args, cfg, "in_path", "in"))
+def cmd_train_scorer(args, cfg: RunConfig) -> int:
+    pairs = data.load_training_lines(_path(args, cfg, "in"))
     model = train_scorer(pairs, order=cfg.order,
-                                    smoothing_alpha=cfg.smoothing_alpha,
-                                    context_window=cfg.context_window)
-    save_scorer(model, _path(args, cfg, "out", "out"))
+                         smoothing_alpha=cfg.smoothing_alpha,
+                         context_window=cfg.context_window)
+    save_scorer(model, _path(args, cfg, "out"))
     log.info("train-scorer: %d pairs, %d languages, %d units", len(pairs),
              len(model.languages), len(model.units))
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    manifest = data.load_manifest(_path(args, cfg, "refs", "refs"))
-    hyps = load_hypotheses(_path(args, cfg, "hyps", "hyps"))
+def cmd_eval(args, cfg: RunConfig) -> int:
+    manifest = data.load_manifest(_path(args, cfg, "refs"))
+    hyps = load_hypotheses(_path(args, cfg, "hyps"))
     report = metrics.evaluate(manifest, hyps)
-    atomic_write_text(_path(args, cfg, "out", "out"), metrics.report_to_json(report))
-    if args.table:
+    atomic_write_text(_path(args, cfg, "out"), metrics.report_to_json(report))
+    if cfg.table:
         print(metrics.render_report(report), end="")
     return 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args, cfg: RunConfig) -> int:
     return 0 if run_selftest(print) else 1
 
 
 # ---- parser -------------------------------------------------------------
 
+# command -> (handler, help, {path key: help}, option names). Each command
+# also takes --config, --seed and --out. Handlers reach the traced library
+# functions through module globals, never through this table.
+COMMANDS = {
+    "beam": (cmd_beam, "top-k phoneme hypotheses per utterance",
+             {"in": "posterior grid JSONL"}, ("k", "beam_width", "renormalize")),
+    "sample": (cmd_sample, "k sampled phoneme sequences per utterance",
+               {"in": "posterior grid JSONL"}, ("k", "temperature", "renormalize")),
+    "score": (cmd_score, "marginal log-likelihood of reference texts",
+              {"grids": "posterior grid JSONL", "refs": "reference manifest JSONL",
+               "scorer": "trained scorer JSON"},
+              ("method", "k", "beam_width", "normalize_weights", "epochs",
+               "resample", "renormalize")),
+    "decode": (cmd_decode, "best text per utterance with rescored pool",
+               {"grids": "posterior grid JSONL", "scorer": "trained scorer JSON"},
+               ("k", "s", "beam_width", "max_len", "normalize_weights",
+                "renormalize")),
+    "augment": (cmd_augment, "n-best noisy training lines per utterance",
+                {"grids": "posterior grid JSONL", "refs": "reference manifest JSONL"},
+                ("n_best", "beam_width", "include_clean", "renormalize")),
+    "balance": (cmd_balance, "oversample languages up to target hours",
+                {"in": "manifest JSONL"}, ("target_hours",)),
+    "train-scorer": (cmd_train_scorer, "fit the n-gram scorer on training lines",
+                     {"in": "training-line text file"},
+                     ("order", "smoothing_alpha", "context_window")),
+    "eval": (cmd_eval, "error rate and lid accuracy report",
+             {"refs": "reference manifest JSONL", "hyps": "decode output JSONL"},
+             ("table",)),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of option defaults (flags win)")
-    p.add_argument("--seed", type=int, help="global random seed")
 
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output file (written atomically)")
+def _add_option(p: argparse.ArgumentParser, name: str) -> None:
+    f = _OPTIONS[name]
+    flag = f.metadata["flag"] or "--" + name.replace("_", "-")
+    if _kind(f) is bool:
+        # default None: an absent flag must not override the config file
+        p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction,
+                       default=None, help=f.metadata["help"])
+    else:
+        p.add_argument(flag, dest=name, type=_kind(f), help=f.metadata["help"],
+                       choices=f.metadata["choices"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,90 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="p2g",
         description="Phoneme-to-grapheme pipeline over CTC posterior grids.")
     sub = parser.add_subparsers(dest="command", required=True)
-    boolean = argparse.BooleanOptionalAction
-
-    p = sub.add_parser("beam", help="top-k phoneme hypotheses per utterance")
-    _add_common(p); _add_out(p)
-    p.add_argument("--in", dest="in_path", help="posterior grid JSONL")
-    p.add_argument("--k", type=int)
-    p.add_argument("--beam-width", type=int, dest="beam_width")
-    p.add_argument("--renormalize", action=boolean, default=None,
-                   help="renormalize grid rows on load")
-    p.set_defaults(func=cmd_beam)
-
-    p = sub.add_parser("sample", help="k sampled phoneme sequences per utterance")
-    _add_common(p); _add_out(p)
-    p.add_argument("--in", dest="in_path", help="posterior grid JSONL")
-    p.add_argument("--k", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--renormalize", action=boolean, default=None)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("score", help="marginal log-likelihood of reference texts")
-    _add_common(p); _add_out(p)
-    p.add_argument("--grids", help="posterior grid JSONL")
-    p.add_argument("--refs", help="reference manifest JSONL")
-    p.add_argument("--scorer", help="trained scorer JSON")
-    p.add_argument("--method", choices=["tkm", "skm", "sskm"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--beam-width", type=int, dest="beam_width")
-    p.add_argument("--normalize-weights", action=boolean, dest="normalize_weights",
-                   default=None)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--resample", action=boolean, default=None,
-                   help="draw fresh samples each epoch")
-    p.add_argument("--renormalize", action=boolean, default=None)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("decode", help="best text per utterance with rescored pool")
-    _add_common(p); _add_out(p)
-    p.add_argument("--grids")
-    p.add_argument("--scorer")
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--beam-width", type=int, dest="beam_width")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--normalize-weights", action=boolean, dest="normalize_weights",
-                   default=None)
-    p.add_argument("--renormalize", action=boolean, default=None)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("augment", help="n-best noisy training lines per utterance")
-    _add_common(p); _add_out(p)
-    p.add_argument("--grids")
-    p.add_argument("--refs")
-    p.add_argument("--n-best", type=int, dest="n_best")
-    p.add_argument("--beam-width", type=int, dest="beam_width")
-    p.add_argument("--include-clean", action=boolean, dest="include_clean",
-                   default=None, help="also emit the reference phonemes")
-    p.add_argument("--renormalize", action=boolean, default=None)
-    p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser("balance", help="oversample languages up to target hours")
-    _add_common(p); _add_out(p)
-    p.add_argument("--in", dest="in_path", help="manifest JSONL")
-    p.add_argument("--target-hours", type=float, dest="target_hours")
-    p.set_defaults(func=cmd_balance)
-
-    p = sub.add_parser("train-scorer", help="fit the n-gram scorer on training lines")
-    _add_common(p); _add_out(p)
-    p.add_argument("--in", dest="in_path", help="training-line text file")
-    p.add_argument("--order", type=int)
-    p.add_argument("--alpha", type=float, dest="smoothing_alpha")
-    p.add_argument("--window", type=int, dest="context_window")
-    p.set_defaults(func=cmd_train_scorer)
-
-    p = sub.add_parser("eval", help="error rate and lid accuracy report")
-    _add_common(p); _add_out(p)
-    p.add_argument("--refs", help="reference manifest JSONL")
-    p.add_argument("--hyps", help="decode output JSONL")
-    p.add_argument("--table", action=boolean, default=True,
-                   help="print the aligned text table")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("selftest", help="run the built-in oracle checks")
-    p.set_defaults(func=cmd_selftest)
-
+    for command, (handler, text, paths, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", help="JSON file of option defaults (flags win)")
+        for key, path_help in {"out": "output file (written atomically)",
+                               **paths}.items():
+            p.add_argument(f"--{key}", dest=key, help=path_help)
+        for name in ("seed",) + options:
+            _add_option(p, name)
+    sub.add_parser("selftest", help="run the built-in oracle checks"
+                   ).set_defaults(handler=cmd_selftest)
     return parser
 
 
@@ -434,11 +385,8 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FormatError as exc:
-        print(f"p2g: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.handler(args, resolve_config(args))
+    except (FormatError, OSError) as exc:
         print(f"p2g: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -24,7 +24,6 @@ BLANK = 0
 # rows must satisfy |logsumexp(row)| <= ROW_NORM_TOL unless renormalized on load
 ROW_NORM_TOL = 1e-6
 
-FramePath = tuple[int, ...]
 PhonemeSequence = tuple[int, ...]
 
 
@@ -46,10 +45,6 @@ class Alphabet:
                 raise ValueError(f"duplicate phoneme symbol {sym!r}")
             seen.add(sym)
         object.__setattr__(self, "_index", {s: i + 1 for i, s in enumerate(symbols)})
-
-    @property
-    def blank_index(self) -> int:
-        return BLANK
 
     @property
     def num_symbols(self) -> int:
@@ -241,15 +236,10 @@ def sample_paths(grid: PosteriorGrid, k: int, rng: np.random.Generator,
     return out
 
 
-def sample_path(grid: PosteriorGrid, rng: np.random.Generator,
-                temperature: float = 1.0) -> FramePath:
-    """Draw one frame path; same stream consumption as sample_paths(k=1)."""
-    return tuple(int(i) for i in sample_paths(grid, 1, rng, temperature)[0])
-
-
 def sample_k_hypotheses(grid: PosteriorGrid, k: int, rng: np.random.Generator,
                         temperature: float = 1.0) -> list[PhonemeSequence]:
-    """k raw draws of collapse(sample_path(...)); duplicates are preserved."""
+    """The k sampled paths of sample_paths, each collapsed; duplicates are
+    preserved."""
     paths = sample_paths(grid, k, rng, temperature)
     return [collapse(row) for row in paths]
 
@@ -322,7 +312,8 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
 
     Each line holds ``{"id", "symbols", "logp"}`` where ``symbols`` excludes
     the blank and ``logp`` rows are natural-log posteriors over
-    [blank] + symbols.
+    [blank] + symbols. A zero-probability cell is ``null``; the older
+    non-standard ``-Infinity`` is read as well.
     """
     grids = []
     for line_no, obj in iter_jsonl(path):
@@ -335,6 +326,11 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
         try:
             alphabet = Alphabet(tuple(symbols))
             matrix = np.array(logp, dtype=np.float64)
+            if matrix.ndim == 2 and np.isnan(matrix).any():
+                # null became NaN; a NaN literal in the file stays NaN and
+                # is refused below
+                is_null = np.array([[v is None for v in row] for row in logp])
+                matrix[is_null] = LOG_ZERO
             if renormalize:
                 grid = PosteriorGrid.renormalized(utt_id, alphabet, matrix)
             else:
@@ -346,9 +342,15 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
 
 
 def save_grids(grids: Iterable[PosteriorGrid], path) -> None:
+    """Write grids as strict JSON lines: JSON has no infinity, so a
+    zero-probability cell is written as ``null``."""
     lines = []
     for grid in grids:
+        rows = grid.logp.tolist()
+        # most grids have no zero cell and skip the per-cell pass
+        if np.isneginf(grid.logp).any():
+            rows = [[None if v == LOG_ZERO else v for v in row] for row in rows]
         obj = {"id": grid.utterance_id, "symbols": list(grid.alphabet.symbols),
-               "logp": grid.logp.tolist()}
+               "logp": rows}
         lines.append(json.dumps(obj, ensure_ascii=False))
     atomic_write_lines(path, lines)

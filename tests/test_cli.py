@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -78,6 +79,53 @@ def test_bad_config_value_exits_1(tmp_path, workdir):
                      "--out", str(tmp_path / "o"), "--config", str(config)]) == 1
 
 
+def test_non_string_config_path_exits_1(tmp_path, workdir, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"paths": {"in": [str(workdir / "grids.jsonl")]}}),
+                      encoding="utf-8")
+    code = cli.main(["beam", "--out", str(tmp_path / "o"), "--config", str(config)])
+    assert code == 1
+    assert "paths" in capsys.readouterr().err
+
+
+# every subcommand's option strings, recorded before the options were
+# declared in one table; a refactor of the parser must keep them all
+FLAG_SURFACE = {
+    "beam": ["--beam-width", "--config", "--help", "--in", "--k",
+             "--no-renormalize", "--out", "--renormalize", "--seed", "-h"],
+    "sample": ["--config", "--help", "--in", "--k", "--no-renormalize", "--out",
+               "--renormalize", "--seed", "--temperature", "-h"],
+    "score": ["--beam-width", "--config", "--epochs", "--grids", "--help", "--k",
+              "--method", "--no-normalize-weights", "--no-renormalize",
+              "--no-resample", "--normalize-weights", "--out", "--refs",
+              "--renormalize", "--resample", "--scorer", "--seed", "-h"],
+    "decode": ["--beam-width", "--config", "--grids", "--help", "--k",
+               "--max-len", "--no-normalize-weights", "--no-renormalize",
+               "--normalize-weights", "--out", "--renormalize", "--s",
+               "--scorer", "--seed", "-h"],
+    "augment": ["--beam-width", "--config", "--grids", "--help",
+                "--include-clean", "--n-best", "--no-include-clean",
+                "--no-renormalize", "--out", "--refs", "--renormalize",
+                "--seed", "-h"],
+    "balance": ["--config", "--help", "--in", "--out", "--seed",
+                "--target-hours", "-h"],
+    "train-scorer": ["--alpha", "--config", "--help", "--in", "--order",
+                     "--out", "--seed", "--window", "-h"],
+    "eval": ["--config", "--help", "--hyps", "--no-table", "--out", "--refs",
+             "--seed", "--table", "-h"],
+    "selftest": ["--help", "-h"],
+}
+
+
+def test_flag_surface_is_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in p._actions for o in a.option_strings)
+           for name, p in sub.choices.items()}
+    assert got == FLAG_SURFACE
+
+
 # ---- exit codes ---------------------------------------------------------
 
 
@@ -134,6 +182,39 @@ def test_score_refs_with_unknown_language_exits_2(workdir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert str(refs) in captured.err and "'fr'" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+_SCORE = ["score", "--grids", "{w}/grids.jsonl", "--refs", "{w}/manifest.jsonl",
+          "--scorer", "{w}/scorer.json", "--method", "tkm"]
+
+
+@pytest.mark.parametrize("argv, config, name", [
+    (["train-scorer", "--in", "{w}/train.txt", "--alpha", "nan"], None,
+     "smoothing_alpha"),
+    (["sample", "--in", "{w}/grids.jsonl", "--temperature", "inf"], None,
+     "temperature"),
+    (["balance", "--in", "{w}/manifest.jsonl", "--target-hours", "nan"], None,
+     "target_hours"),
+    (["train-scorer", "--in", "{w}/train.txt"], {"smoothing_alpha": float("nan")},
+     "smoothing_alpha"),
+    (["sample", "--in", "{w}/grids.jsonl"], {"temperature": float("-inf")},
+     "temperature"),
+    (["balance", "--in", "{w}/manifest.jsonl"], {"target_hours": float("inf")},
+     "target_hours"),
+    # zero epochs would otherwise write an empty file and exit 0
+    (_SCORE + ["--epochs", "0"], None, "epochs"),
+    (_SCORE, {"epochs": 0}, "epochs"),
+])
+def test_out_of_range_option_exits_1(workdir, tmp_path, capsys, argv, config, name):
+    out = tmp_path / "out"
+    argv = [a.format(w=workdir) for a in argv] + ["--out", str(out), "--seed", "1"]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")  # NaN, Infinity
+        argv += ["--config", str(path)]
+    assert cli.main(argv) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_rejected(workdir, tmp_path):

@@ -16,7 +16,6 @@ from p2g.ctc import (
     load_grids,
     prefix_beam_search,
     sample_k_hypotheses,
-    sample_path,
     sample_paths,
     save_grids,
 )
@@ -31,7 +30,7 @@ from conftest import make_grid
 
 
 def test_alphabet_basics(tiny_alphabet):
-    assert tiny_alphabet.blank_index == BLANK == 0
+    assert BLANK == 0
     assert tiny_alphabet.size == 3
     assert tiny_alphabet.num_symbols == 2  # non-blank
     assert tiny_alphabet.to_symbols((1, 2, 1)) == ("a", "b", "a")
@@ -182,7 +181,7 @@ def test_sample_paths_matches_one_at_a_time(tiny_alphabet):
     g = PosteriorGrid("u", tiny_alphabet, np.log(np.full((4, 3), 1.0 / 3.0)))
     batch = sample_paths(g, 6, derive_rng(9, "u"))
     rng = derive_rng(9, "u")
-    rows = [sample_path(g, rng) for _ in range(6)]
+    rows = [sample_paths(g, 1, rng)[0] for _ in range(6)]
     assert np.array_equal(batch, np.array(rows))
 
 
@@ -277,6 +276,33 @@ def test_grid_round_trip(tmp_path, tiny_alphabet):
     for a, b in zip(grids, back):
         assert a.alphabet.symbols == b.alphabet.symbols
         assert np.array_equal(a.logp, b.logp)
+
+
+def test_zero_cell_is_strict_json_null(tmp_path, tiny_alphabet):
+    with np.errstate(divide="ignore"):
+        g = PosteriorGrid("u", tiny_alphabet,
+                          np.log([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+    path = tmp_path / "grids.jsonl"
+    save_grids([g], path)
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    obj = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert obj["logp"] == [[math.log(0.5), math.log(0.5), None], [0.0, None, None]]
+    (back,) = load_grids(path)
+    assert np.array_equal(back.logp, g.logp)
+
+
+def test_load_grids_reads_legacy_infinity_and_refuses_nan(tmp_path):
+    p = tmp_path / "g.jsonl"
+    p.write_text('{"id": "u", "symbols": ["a"], "logp": [[0.0, -Infinity]]}\n',
+                 encoding="utf-8")
+    assert load_grids(p)[0].logp.tolist() == [[0.0, LOG_ZERO]]
+    p.write_text('{"id": "u", "symbols": ["a"], "logp": [[0.0, NaN]]}\n',
+                 encoding="utf-8")
+    with pytest.raises(FormatError, match="NaN"):
+        load_grids(p)
 
 
 def test_load_grids_rejects_bad_json(tmp_path):

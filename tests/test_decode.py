@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -120,3 +121,11 @@ def test_load_hypotheses_rejects_duplicate_id(tmp_path):
     p.write_text(line + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_hypotheses(p)
+
+
+def test_package_attribute_is_the_decode_module():
+    import p2g
+    from p2g import decode as imported
+
+    assert p2g.decode is imported is sys.modules["p2g.decode"]
+    assert imported.decode is decode
