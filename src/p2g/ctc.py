@@ -47,11 +47,6 @@ class Alphabet:
         object.__setattr__(self, "_index", {s: i + 1 for i, s in enumerate(symbols)})
 
     @property
-    def num_symbols(self) -> int:
-        """Phoneme count V, blank excluded."""
-        return len(self.symbols)
-
-    @property
     def size(self) -> int:
         """Width of a grid row: V + 1."""
         return len(self.symbols) + 1
@@ -335,7 +330,8 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
                 grid = PosteriorGrid.renormalized(utt_id, alphabet, matrix)
             else:
                 grid = PosteriorGrid(utt_id, alphabet, matrix)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
+            # TypeError: a cell that is neither a number nor null
             raise FormatError(str(exc), path=path, line_no=line_no) from exc
         grids.append(grid)
     return grids

@@ -62,14 +62,6 @@ class CorpusManifest:
             groups[rec.lang].append(rec)
         return dict(groups)
 
-    @property
-    def language_hours(self) -> dict[str, float]:
-        """Total duration per language in hours, recomputed from records."""
-        hours: dict[str, float] = defaultdict(float)
-        for rec in self.records:
-            hours[rec.lang] += rec.dur_sec / 3600.0
-        return dict(hours)
-
 
 def serialize_training_line(phonemes: Sequence[str], text: TargetText) -> str:
     """Render one training sample as ``<ipa> p1 p2 ... | <lid:xx> graphemes``.

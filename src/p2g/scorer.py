@@ -87,11 +87,6 @@ class NGramScorer:
         object.__setattr__(self, "_cands", (lids, later))
         object.__setattr__(self, "_cand_sets", (frozenset(lids), frozenset(later)))
 
-    @property
-    def vocab(self) -> tuple[str, ...]:
-        """Full output inventory: lid tokens, grapheme units, end marker."""
-        return self._cands[0] + self._cands[1]  # type: ignore[attr-defined]
-
     # ---- state handling ------------------------------------------------
 
     def _state_key(self, phonemes: Sequence[str], step: int,

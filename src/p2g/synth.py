@@ -20,9 +20,11 @@ from .scorer import TargetText
 def random_grid(rng: np.random.Generator, utterance_id: str = "u",
                 frames: int | None = None, symbols: tuple[str, ...] | None = None,
                 max_frames: int = 6, max_symbols: int = 3,
-                concentration: float = 1.0) -> PosteriorGrid:
+                concentration: float = 1.0, min_prob: float = 0.0) -> PosteriorGrid:
     """A grid with independent Dirichlet rows; -inf entries may appear when a
-    component underflows, which is valid and exercises the zero paths."""
+    component underflows, which is valid and exercises the zero paths.
+    ``min_prob`` floors every cell (then renormalizes) so no path has
+    vanishing probability."""
     if frames is None:
         frames = int(rng.integers(1, max_frames + 1))
     if symbols is None:
@@ -30,6 +32,9 @@ def random_grid(rng: np.random.Generator, utterance_id: str = "u",
         symbols = tuple(f"p{i}" for i in range(1, count + 1))
     alphabet = Alphabet(symbols)
     probs = rng.dirichlet(np.full(alphabet.size, concentration), size=frames)
+    if min_prob > 0.0:
+        probs = probs + min_prob
+        probs /= probs.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
         logp = np.log(probs)
     return PosteriorGrid.renormalized(utterance_id, alphabet, logp)

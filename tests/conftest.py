@@ -1,35 +1,13 @@
-"""Shared fixtures: small grids, a trained scorer, and a hash-based stub."""
+"""Shared fixtures: small grids and a trained scorer."""
 
 from __future__ import annotations
-
-import hashlib
-from typing import Sequence
 
 import numpy as np
 import pytest
 
 from p2g import synth
 from p2g.ctc import Alphabet, PosteriorGrid
-from p2g.scorer import TargetText, train_scorer
-
-
-class HashScorer:
-    """Deterministic stand-in conditional model.
-
-    Scores depend on (y, phonemes) through a hash, so they look arbitrary but
-    reproduce exactly. Useful when a test needs *some* scorer but must not
-    depend on n-gram behaviour.
-    """
-
-    def __init__(self, salt: str = "", scale: float = 3.0):
-        self.salt = salt
-        self.scale = scale
-
-    def log_score(self, y: TargetText, phonemes: Sequence[str]) -> float:
-        key = f"{self.salt}\x1f{y.lid}\x1f{y.graphemes}\x1f" + "\x1f".join(phonemes)
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        u = int.from_bytes(digest[:8], "little") / 2.0**64
-        return -self.scale * u - 0.05
+from p2g.scorer import train_scorer
 
 
 @pytest.fixture(scope="session")
@@ -51,15 +29,7 @@ def tiny_alphabet():
 
 
 def make_grid(rng: np.random.Generator, utterance_id: str = "u", frames: int = 4,
-              symbols: tuple[str, ...] = ("a", "b"),
               min_prob: float = 0.0) -> PosteriorGrid:
-    """Dirichlet-row grid; ``min_prob`` floors every cell (then renormalizes)
-    so no path has vanishing probability."""
-    alphabet = Alphabet(symbols)
-    probs = rng.dirichlet(np.ones(alphabet.size), size=frames)
-    if min_prob > 0.0:
-        probs = probs + min_prob
-        probs /= probs.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-    return PosteriorGrid.renormalized(utterance_id, alphabet, logp)
+    """Dirichlet-row grid over the phonemes ("a", "b")."""
+    return synth.random_grid(rng, utterance_id, frames=frames, symbols=("a", "b"),
+                             min_prob=min_prob)

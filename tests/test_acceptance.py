@@ -1,266 +1,35 @@
 """Acceptance suite: one test per shipped guarantee, at fixed tolerances.
 
-Each test prints a single summary line (visible with ``pytest -s``); under
-plain ``pytest -v`` the test name itself is the pass/fail line. Everything
-here runs against brute-force oracles or published fixture numbers; total
-runtime is a few minutes on a laptop.
+c01-c10 and the sampler check are the oracle checks of ``p2g.selftest``,
+run here at full scale (c08 under its own test name, the rest as cases of
+one parametrized test); ``p2g selftest`` runs a prefix of the same instance
+streams at the same tolerances. Each case prints its result line (visible
+with ``pytest -s``). c11 writes files, so it lives only here.
 """
 
-import math
-import random
-import time
-
-import numpy as np
 import pytest
 
-from p2g import cli, oracles, synth
-from p2g.ctc import ScoredHypothesis, forward_logprob, prefix_beam_search, sample_k_hypotheses
-from p2g.data import (
-    CorpusManifest,
-    UtteranceRecord,
-    manifest_stats,
-    oversample_manifest,
-    parse_training_line,
-    record_to_json,
-    serialize_training_line,
-)
-from p2g.marginal import skm_log_marginal, sskm_log_marginal, tkm_log_marginal
-from p2g.metrics import aggregate
-from p2g.scorer import TargetText, train_scorer
-from p2g.seeding import derive_rng
-from p2g.selftest import (
-    FIXTURE_AGGREGATES,
-    FIXTURE_HOURS,
-    FIXTURE_LID_ROW,
-    FIXTURE_PER_ROW,
-    FIXTURE_WER_ROW_A,
-    FIXTURE_WER_ROW_B,
-    LOW_RESOURCE,
-    TARGET_HOURS,
-)
-
-from conftest import HashScorer, make_grid
-
-Y = TargetText("xx", "ab")
+from p2g import cli, synth
+from p2g.selftest import CHECKS, c08_metric_fixtures
 
 
-def grids_for_oracle(n, seed, max_frames=6, max_v=3):
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        v = int(rng.integers(1, max_v + 1))
-        frames = int(rng.integers(1, max_frames + 1))
-        out.append(make_grid(rng, f"g{i}", frames=frames,
-                             symbols=tuple(f"p{j}" for j in range(1, v + 1))))
-    return out
+def _assert_check(check):
+    result = check(full=True)
+    print(f"\n{result.line()}")
+    assert result.passed, result.detail
 
 
-def test_c01_forward_equals_path_enumeration():
-    """100 random grids (T<=6, V<=3): forward within 1e-10 of enumeration."""
-    start = time.monotonic()
-    grids = grids_for_oracle(100, seed=101)
-    worst = 0.0
-    for g in grids:
-        for seq, p in oracles.sequence_distribution(g).items():
-            worst = max(worst, abs(forward_logprob(g, seq) - math.log(p)))
-    elapsed = time.monotonic() - start
-    assert worst <= 1e-10
-    assert elapsed < 10.0
-    print(f"\nPASS forward oracle: max |dlog| {worst:.2e} over 100 grids "
-          f"in {elapsed:.1f}s")
-
-
-def test_c02_forward_partition_sums_to_one():
-    """Sum of exp(forward) over reachable sequences is 1 within 1e-8."""
-    grids = grids_for_oracle(100, seed=101)
-    worst = 0.0
-    for g in grids:
-        total = sum(math.exp(forward_logprob(g, seq))
-                    for seq in oracles.sequence_distribution(g))
-        worst = max(worst, abs(total - 1.0))
-    assert worst <= 1e-8
-    print(f"\nPASS partition: max |sum - 1| {worst:.2e} over 100 grids")
-
-
-def test_c03_sskm_is_unbiased():
-    """Fixed tiny instance: mean of exp(estimate) over 1000 runs at k=16
-    lands within 3 standard errors of the exact marginal."""
-    start = time.monotonic()
-    g = make_grid(np.random.default_rng(303), "bias", frames=3)
-    scorer = HashScorer("unbiased")
-    exact = oracles.exact_marginal(g, Y, scorer)
-    vals = np.array([
-        math.exp(sskm_log_marginal(g, Y, scorer, 16,
-                                   derive_rng(run, "unbiased")).log_marginal)
-        for run in range(1000)
-    ])
-    se = vals.std(ddof=1) / math.sqrt(len(vals))
-    z = abs(vals.mean() - exact) / se
-    elapsed = time.monotonic() - start
-    assert z <= 3.0
-    assert elapsed < 30.0
-    print(f"\nPASS unbiasedness: |z| {z:.2f} over 1000 runs in {elapsed:.1f}s")
-
-
-def test_c04_tkm_exact_with_complete_hypotheses():
-    """Complete hypothesis set + exact forward weights: within 1e-9 of the
-    exact marginal on 50 random tiny instances."""
-    rng = np.random.default_rng(404)
-    scorer = HashScorer("tkm")
-    worst = 0.0
-    for i in range(50):
-        g = make_grid(rng, f"t{i}", frames=int(rng.integers(1, 5)))
-        hyps = [ScoredHypothesis(seq, forward_logprob(g, seq))
-                for seq in sorted(oracles.sequence_distribution(g))]
-        est = tkm_log_marginal(hyps, Y, scorer, g.alphabet)
-        worst = max(worst, abs(est.log_marginal
-                               - math.log(oracles.exact_marginal(g, Y, scorer))))
-    assert worst <= 1e-9
-    print(f"\nPASS tkm exactness: max |dlog| {worst:.2e} over 50 instances")
-
-
-def test_c05_skm_and_sskm_agree_with_exact():
-    """SKM under full sample coverage within 1e-9; S-SKM at k=1e5 within 1%
-    relative (Monte Carlo tolerance)."""
-    scorer = HashScorer("agree")
-    rng = np.random.default_rng(505)
-    worst_skm = worst_rel = 0.0
-    for i in range(3):
-        g = make_grid(rng, f"a{i}", frames=4, min_prob=0.12)
-        exact = math.log(oracles.exact_marginal(g, Y, scorer))
-        covered = set(sample_k_hypotheses(g, 60_000, derive_rng(i, "cov")))
-        assert covered == set(oracles.sequence_distribution(g))
-        skm = skm_log_marginal(g, Y, scorer, 60_000, derive_rng(i, "cov"))
-        worst_skm = max(worst_skm, abs(skm.log_marginal - exact))
-        sskm = sskm_log_marginal(g, Y, scorer, 100_000, derive_rng(i, "mc"))
-        worst_rel = max(worst_rel, abs(math.exp(sskm.log_marginal - exact) - 1.0))
-    assert worst_skm <= 1e-9
-    assert worst_rel <= 0.01
-    print(f"\nPASS skm/sskm agreement: skm |dlog| {worst_skm:.2e}, "
-          f"sskm rel {worst_rel:.2%}")
-
-
-def test_c06_beam_matches_enumeration_top_k():
-    """T<=5, V<=2, beam covering every distinct sequence: the top-k lists
-    agree sequence-for-sequence, scores within float-sum tolerance 1e-10."""
-    rng = np.random.default_rng(606)
-    worst = 0.0
-    for i in range(60):
-        v = int(rng.integers(1, 3))
-        g = make_grid(rng, f"b{i}", frames=int(rng.integers(1, 6)),
-                      symbols=tuple(f"p{j}" for j in range(1, v + 1)))
-        dist = oracles.sequence_distribution(g)
-        k = len(dist)
-        hyps = prefix_beam_search(g, 4 * k + 16, k)
-        want = oracles.top_sequences(g, k)
-        assert [h.sequence for h in hyps] == [seq for seq, _ in want]
-        for h, (_, lp) in zip(hyps, want):
-            worst = max(worst, abs(h.log_score - lp))
-    assert worst <= 1e-10
-    print(f"\nPASS beam oracle: sequences exact, max |dlog| {worst:.2e}")
-
-
-def test_c07_decode_matches_brute_force_argmax():
-    """k, s, and the text space fully covered: decode's winner equals the
-    brute-force argmax over every text, ties to the smaller (lid, text)."""
-    pairs = [
-        (("a", "b"), TargetText("xx", "xy")),
-        (("a",), TargetText("xx", "x")),
-        (("b", "a"), TargetText("yy", "yz")),
-        (("b",), TargetText("yy", "z")),
-        (("a", "a"), TargetText("xx", "xx")),
-    ]
-    sc = train_scorer(pairs, order=2, smoothing_alpha=0.3, context_window=1)
-    from p2g.decode import decode
-    rng = np.random.default_rng(707)
-    for i in range(50):
-        g = make_grid(rng, f"d{i}", frames=int(rng.integers(1, 4)))
-        n = len(oracles.sequence_distribution(g))
-        res = decode(g, sc, k=n, s=10_000, beam_width=4 * n + 16, max_len=2)
-        want_text, _ = oracles.exact_decode(g, sc, sc.languages, sc.units,
-                                            max_len=2)
-        assert res.best == want_text
-    print("\nPASS decode oracle: argmax agreement on 50 instances")
+@pytest.mark.parametrize(
+    "check", [check for check in CHECKS if check is not c08_metric_fixtures],
+    ids=lambda check: check.__name__)
+def test_oracle_check(check):
+    _assert_check(check)
 
 
 def test_c08_metric_fixtures_reproduce_published_numbers():
     """Stored per-language rows aggregate to the published macro and
     hours-weighted averages within 0.01."""
-    rows = {"wer_a": FIXTURE_WER_ROW_A, "wer_b": FIXTURE_WER_ROW_B,
-            "per": FIXTURE_PER_ROW, "lid": FIXTURE_LID_ROW}
-    worst = 0.0
-    for key, row in rows.items():
-        macro, weighted = aggregate(row, FIXTURE_HOURS)
-        want_macro, want_weighted = FIXTURE_AGGREGATES[key]
-        worst = max(worst, abs(macro - want_macro), abs(weighted - want_weighted))
-        assert macro == pytest.approx(want_macro, abs=0.01)
-        assert weighted == pytest.approx(want_weighted, abs=0.01)
-    print(f"\nPASS metric fixtures: max |d| {worst:.4f} across 4 aggregate rows")
-
-
-def _fixture_manifest(records_per_lang=20):
-    records = []
-    for lang, hours in sorted(FIXTURE_HOURS.items()):
-        dur = hours * 3600.0 / records_per_lang
-        for i in range(records_per_lang):
-            records.append(UtteranceRecord(
-                utterance_id=f"{lang}-{i:03d}", lang=lang, dur_sec=dur,
-                phonemes=("p",), text=TargetText(lang, "t")))
-    return CorpusManifest(records=tuple(records))
-
-
-def test_c09_oversampling_envelope_and_repetition_factor():
-    """Low-resource languages land in [target, target + max utterance);
-    high-resource rows are byte-identical; ky factor within 5% of 240/32.7."""
-    manifest = _fixture_manifest()
-    out = oversample_manifest(manifest, TARGET_HOURS, derive_rng(909, "balance"))
-    stats = manifest_stats(out)
-    for lang in LOW_RESOURCE:
-        max_dur_h = max(r.dur_sec for r in manifest.records
-                        if r.lang == lang) / 3600.0
-        assert TARGET_HOURS <= stats[lang].hours < TARGET_HOURS + max_dur_h
-    before = {lang: [record_to_json(r) for r in manifest.records if r.lang == lang]
-              for lang in FIXTURE_HOURS}
-    after_orig = {lang: [record_to_json(r) for r in out.records
-                         if r.lang == lang and not r.repeat]
-                  for lang in FIXTURE_HOURS}
-    high = set(FIXTURE_HOURS) - set(LOW_RESOURCE)
-    for lang in high:
-        assert before[lang] == after_orig[lang]
-        assert stats[lang].hours == pytest.approx(FIXTURE_HOURS[lang])
-    factor = stats["ky"].repetition_factor
-    want = TARGET_HOURS / FIXTURE_HOURS["ky"]
-    assert abs(factor - want) <= 0.05 * want
-    print(f"\nPASS oversampling: envelope held, ky factor {factor:.3f} "
-          f"vs {want:.3f}")
-
-
-def test_c10_training_line_round_trip_10k():
-    """10,000 randomized (phonemes, text) pairs, non-ASCII scripts included:
-    parse(serialize(x)) == x every time."""
-    rnd = random.Random(1010)
-    ipa = [chr(c) for c in range(0x0250, 0x02B0)]          # IPA extensions
-    ipa += ["tʃ", "dʒ", "eː", "ɔ̃"]                          # multi-char tokens
-    scripts = [
-        "abcdefgh",                                         # latin
-        "абвгдежз",                                         # cyrillic
-        "ÀàÂâÉéÊê",                                         # latin + diacritics
-        "أبتثجحخد",                                          # arabic
-        "あいうえおかきく",                                  # hiragana
-        "가나다라마바사아",                                  # hangul
-        "अआइईउऊऋए",                                        # devanagari
-        "一二三四五六七八",                                  # cjk
-    ]
-    lids = ["ky", "nl", "sv", "tt", "ru", "tr", "pt-br", "zh"]
-    for _ in range(10_000):
-        phonemes = tuple("".join(rnd.choices(ipa, k=rnd.randint(1, 3)))
-                         for _ in range(rnd.randint(0, 6)))
-        pool = rnd.choice(scripts) + " "
-        graphemes = "".join(rnd.choices(pool, k=rnd.randint(0, 14)))
-        text = TargetText(rnd.choice(lids), graphemes)
-        line = serialize_training_line(phonemes, text)
-        assert parse_training_line(line) == (phonemes, text)
-    print("\nPASS round-trip: 10,000 randomized pairs, exact inverse")
+    _assert_check(c08_metric_fixtures)
 
 
 def _run_pipeline(root, corpus_dir):

@@ -1,12 +1,16 @@
 import argparse
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 import p2g.ctc
 from p2g import cli, synth
 from p2g.ctc import save_grids
-from p2g.data import load_manifest, save_manifest
+from p2g.data import load_manifest, manifest_stats, save_manifest
+from p2g.selftest import CHECKS
 
 
 @pytest.fixture(scope="module")
@@ -239,9 +243,8 @@ def test_balance_output_hits_target(workdir, tmp_path):
     assert cli.main(["balance", "--in", str(workdir / "manifest.jsonl"),
                      "--out", str(out), "--target-hours", "0.02",
                      "--seed", "5"]) == 0
-    balanced = load_manifest(out)
-    for lang, hours in balanced.language_hours.items():
-        assert hours >= 0.02
+    for st in manifest_stats(load_manifest(out)).values():
+        assert st.hours >= 0.02
 
 
 def test_score_epochs_without_resample_repeat_values(workdir, tmp_path):
@@ -296,13 +299,25 @@ def test_eval_no_table_silences_stdout(workdir, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_readme_quickstart_scripts_exit_0(tmp_path, monkeypatch):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for argv in (["make_synthetic_corpus.py", "--out-dir", str(tmp_path),
+                  "--seed", "42", "--utts-per-lang", "2"],
+                 ["run_pipeline.py", "--corpus-dir", str(tmp_path), "--seed", "17"]):
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(scripts / argv[0]), run_name="__main__")
+        assert exited.value.code == 0, argv[0]
+
+
 # ---- selftest -----------------------------------------------------------
 
 
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") >= 9 and "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(CHECKS)
+    assert all(line.startswith("PASS  ") for line in lines)
 
 
 def test_selftest_catches_forward_mutation(monkeypatch, capsys):
@@ -328,5 +343,17 @@ def test_selftest_catches_sampler_mutation(monkeypatch, capsys):
         return paths
 
     monkeypatch.setattr(p2g.ctc, "sample_paths", biased)
+    assert cli.main(["selftest"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_selftest_catches_beam_mutation(monkeypatch, capsys):
+    real = p2g.ctc.prefix_beam_search
+
+    def swapped(*args, **kwargs):
+        hyps = real(*args, **kwargs)
+        return hyps[1::-1] + hyps[2:]
+
+    monkeypatch.setattr(p2g.ctc, "prefix_beam_search", swapped)
     assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -15,7 +15,6 @@ from p2g.ctc import (
     forward_logprob,
     load_grids,
     prefix_beam_search,
-    sample_k_hypotheses,
     sample_paths,
     save_grids,
 )
@@ -32,7 +31,7 @@ from conftest import make_grid
 def test_alphabet_basics(tiny_alphabet):
     assert BLANK == 0
     assert tiny_alphabet.size == 3
-    assert tiny_alphabet.num_symbols == 2  # non-blank
+    assert len(tiny_alphabet.symbols) == 2  # non-blank
     assert tiny_alphabet.to_symbols((1, 2, 1)) == ("a", "b", "a")
     assert tiny_alphabet.to_indices(("a", "b")) == (1, 2)
 
@@ -46,7 +45,7 @@ def test_alphabet_rejects_duplicates_and_empty_symbols():
 
 def test_blank_only_alphabet_is_degenerate_but_usable():
     empty = Alphabet(())
-    assert empty.size == 1 and empty.num_symbols == 0
+    assert empty.size == 1 and len(empty.symbols) == 0
     g = PosteriorGrid("u", empty, np.zeros((3, 1)))
     assert forward_logprob(g, ()) == pytest.approx(0.0, abs=1e-12)
 
@@ -200,20 +199,6 @@ def test_low_temperature_concentrates(tiny_alphabet):
     assert (paths == 1).all()
 
 
-def test_sampler_frequencies_match_forward(tiny_alphabet):
-    rng = np.random.default_rng(17)
-    g = make_grid(rng, frames=3)
-    n = 30_000
-    seqs = sample_k_hypotheses(g, n, np.random.default_rng(5))
-    from collections import Counter
-    freq = Counter(seqs)
-    for seq, p in oracles.sequence_distribution(g).items():
-        if p < 1e-3:
-            continue
-        se = math.sqrt(p * (1 - p) / n)
-        assert abs(freq[seq] / n - p) <= 4 * se + 1e-9
-
-
 # ---- beam search --------------------------------------------------------
 
 
@@ -311,6 +296,14 @@ def test_load_grids_rejects_bad_json(tmp_path):
     with pytest.raises(FormatError) as err:
         load_grids(p)
     assert "line" in str(err.value)
+
+
+def test_load_grids_rejects_non_numeric_cell(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"id": "u", "symbols": ["a"], "logp": [{"x": 1}]}\n',
+                 encoding="utf-8")
+    with pytest.raises(FormatError, match="bad.jsonl, line 1"):
+        load_grids(p)
 
 
 def test_load_grids_rejects_missing_field(tmp_path):

@@ -48,7 +48,7 @@ def test_manifest_grouping():
     groups = m.by_language()
     assert sorted(groups) == ["xx", "yy"]
     assert [r.utterance_id for r in groups["xx"]] == ["a", "c"]
-    assert m.language_hours["xx"] == pytest.approx(4.0 / 3600.0)
+    assert manifest_stats(m)["xx"].hours == pytest.approx(4.0 / 3600.0)
 
 
 # ---- training-line serialization ----------------------------------------

@@ -15,8 +15,9 @@ from p2g.marginal import (
 )
 from p2g.scorer import TargetText
 from p2g.seeding import derive_rng
+from p2g.selftest import HashScorer
 
-from conftest import HashScorer, make_grid
+from conftest import make_grid
 
 Y = TargetText("xx", "abc")
 
