@@ -247,6 +247,15 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
     every reachable prefix the scores equal the exact forward scores; pruning
     can only discard mass, never add it. Ties sort by score, then length,
     then lexicographic index order.
+
+    Each frame is a few array operations on a B x (V+1) candidate matrix,
+    where B is the live beam size: column 0 holds a member's own prefix,
+    column c its extension by label c. The scores are bitwise those of the
+    one-prefix-at-a-time recursion. Every sum is the same single float
+    addition, and a merged non-blank mass has at most two terms: the
+    member's own repeat and its parent's extension. ``log_add`` is exactly
+    commutative (max and |a - b| are symmetric, and LOG_ZERO passes the
+    other operand through), so the order of the merges cannot change a bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -254,52 +263,61 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
         raise ValueError("beam_width must be >= k")
 
     lp = grid.logp
-    # (prefix, blank-ending mass, non-blank-ending mass, total), best first
-    beam: list[tuple[PhonemeSequence, float, float, float]] = [((), 0.0, LOG_ZERO, 0.0)]
+    cols = lp.shape[1]
+    # the beam, best first: prefix, blank-ending mass, non-blank-ending mass,
+    # total and last label (BLANK for the empty prefix)
+    prefixes: list[PhonemeSequence] = [()]
+    pb = np.zeros(1)
+    pnb = np.full(1, LOG_ZERO)
+    total = np.zeros(1)
+    last = np.zeros(1, dtype=np.intp)
 
     for t in range(grid.frames):
-        # one row at a time: Python floats are cheap to add and compare, and
-        # converting the whole grid up front would hold a second copy of it
-        row = lp[t].tolist()
-        blank = row[BLANK]
-        labels = [(c, pc) for c, pc in enumerate(row) if c != BLANK and pc != LOG_ZERO]
-        # prefix -> [blank-ending mass, non-blank-ending mass]
-        grown: dict[PhonemeSequence, list[float]] = {}
+        row = lp[t]
+        cand = np.empty((len(prefixes), cols))
+        cand[:, 1:] = total[:, None] + row[1:]
+        # a repeat reaches the longer prefix only across a blank, so only the
+        # blank-ending mass grows it
+        rep = np.flatnonzero(last)
+        cand[rep, last[rep]] = pb[rep] + row[last[rep]]
+        # a member stays by a blank, or by repeating its last label; the
+        # empty prefix's non-blank mass is LOG_ZERO, so it gets no repeat
+        stay_b = total + row[BLANK]
+        stay_nb = (pnb + row[last]).tolist()
+        # a member whose parent is also a member absorbs the parent's
+        # extension by its last label: at most one merge per member
+        index = {p: i for i, p in enumerate(prefixes)}
+        for j, p in enumerate(prefixes):
+            i = index.get(p[:-1]) if p else None
+            if i is not None:
+                stay_nb[j] = log_add(stay_nb[j], float(cand[i, p[-1]]))
+                cand[i, p[-1]] = LOG_ZERO
+        cand[:, BLANK] = [log_add(b, nb) for b, nb in zip(stay_b.tolist(), stay_nb)]
 
-        for prefix, pb, pnb, total in beam:
-            entry = grown.get(prefix)
-            if entry is None:
-                entry = grown[prefix] = [LOG_ZERO, LOG_ZERO]
-            entry[0] = log_add(entry[0], total + blank)
-            last = prefix[-1] if prefix else BLANK
-            for c, pc in labels:
-                if c == last:
-                    # repeat frame extends the run; a blank-separated repeat
-                    # grows the prefix from the blank-ending mass only
-                    entry[1] = log_add(entry[1], pnb + pc)
-                    if pb == LOG_ZERO:
-                        continue
-                    mass = pb + pc
-                else:
-                    mass = total + pc
-                longer = prefix + (c,)
-                target = grown.get(longer)
-                if target is None:
-                    grown[longer] = [LOG_ZERO, mass]
-                else:
-                    target[1] = log_add(target[1], mass)
-
+        flat = cand.ravel()
+        live = flat > LOG_ZERO
+        if flat.size > beam_width:
+            # every candidate below the beam_width-th largest total loses
+            cut = flat.size - beam_width
+            live &= flat >= np.partition(flat, cut)[cut]
         ranked = []
-        for prefix, (mb, mnb) in grown.items():
-            total = log_add(mb, mnb)
-            if total != LOG_ZERO:
-                ranked.append((-total, len(prefix), prefix, mb, mnb))
-        # nsmallest equals sorted(...)[:beam_width]; prefixes are distinct,
-        # so the mass fields never take part in the comparison
-        beam = [(prefix, mb, mnb, -neg)
-                for neg, _, prefix, mb, mnb in heapq.nsmallest(beam_width, ranked)]
+        for f, score in zip(np.flatnonzero(live).tolist(), flat[live].tolist()):
+            i, c = divmod(f, cols)
+            prefix = prefixes[i] + (c,) if c else prefixes[i]
+            ranked.append((-score, len(prefix), prefix, f))
+        # prefixes are distinct, so f never takes part in the comparison
+        best = heapq.nsmallest(beam_width, ranked)
+        prefixes = [prefix for _, _, prefix, _ in best]
+        chosen = np.array([f for _, _, _, f in best], dtype=np.intp)
+        src, label = np.divmod(chosen, cols)
+        stays = label == BLANK
+        total = flat[chosen]
+        pb = np.where(stays, stay_b[src], LOG_ZERO)
+        pnb = np.where(stays, np.array(stay_nb)[src], total)
+        last = np.where(stays, last[src], label)
 
-    return [ScoredHypothesis(sequence=p, log_score=total) for p, _, _, total in beam[:k]]
+    return [ScoredHypothesis(sequence=p, log_score=s)
+            for p, s in zip(prefixes[:k], total[:k].tolist())]
 
 
 def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:

@@ -13,6 +13,7 @@ reaches every check that uses it.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import random
 import time
@@ -26,6 +27,8 @@ from . import ctc, data, decode, marginal, metrics, oracles, synth
 from .data import CorpusManifest, UtteranceRecord
 from .scorer import TargetText, train_scorer
 from .seeding import derive_rng
+
+log = logging.getLogger(__name__)
 
 # ten-language evaluation fixtures with known aggregate values
 FIXTURE_HOURS = {"en": 2227.3, "es": 382.3, "fr": 823.4, "it": 271.5, "ky": 32.7,
@@ -322,10 +325,19 @@ CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
 
 
 def run_selftest(echo=print) -> bool:
-    """Run every check at quick scale, one PASS/FAIL line each."""
+    """Run every check at quick scale, one PASS/FAIL line each. A check that
+    raises fails with the exception's type and message, and the rest still
+    run."""
     ok = True
     for check in CHECKS:
-        result = check(full=False)
+        try:
+            result = check(full=False)
+        except Exception as exc:
+            # one broken check must not hide the others; P2G_LOG=DEBUG
+            # shows the traceback
+            log.debug("%s raised", check.__name__, exc_info=True)
+            result = CheckResult(check.__name__, "no exception", False,
+                                 f"{type(exc).__name__}: {exc}")
         ok = ok and result.passed
         echo(result.line())
     return ok

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import p2g.ctc
-from p2g import cli, synth
+import p2g.data
+from p2g import cli, selftest, synth
 from p2g.ctc import save_grids
 from p2g.data import load_manifest, manifest_stats, save_manifest
 from p2g.selftest import CHECKS
@@ -357,3 +358,17 @@ def test_selftest_catches_beam_mutation(monkeypatch, capsys):
     monkeypatch.setattr(p2g.ctc, "prefix_beam_search", swapped)
     assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_selftest_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    def broken(line):
+        raise ValueError("parser broken")
+
+    monkeypatch.setattr(p2g.data, "parse_training_line", broken)
+    assert cli.main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(CHECKS)
+    c10 = lines[CHECKS.index(selftest.c10_round_trip)]
+    assert c10.startswith("FAIL  c10_round_trip")
+    assert "ValueError: parser broken" in c10
+    assert lines[CHECKS.index(selftest.sampler_frequencies)].startswith("PASS  ")

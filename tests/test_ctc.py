@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2g import oracles
+from p2g import oracles, synth
 from p2g.ctc import (
     BLANK,
     Alphabet,
@@ -43,11 +43,21 @@ def test_alphabet_rejects_duplicates_and_empty_symbols():
         Alphabet(("a", ""))
 
 
-def test_blank_only_alphabet_is_degenerate_but_usable():
+def _pairs(hyps):
+    return [(h.sequence, h.log_score) for h in hyps]
+
+
+def test_blank_only_alphabet_is_degenerate_but_usable(tiny_alphabet):
     empty = Alphabet(())
     assert empty.size == 1 and len(empty.symbols) == 0
     g = PosteriorGrid("u", empty, np.zeros((3, 1)))
     assert forward_logprob(g, ()) == pytest.approx(0.0, abs=1e-12)
+    assert _pairs(prefix_beam_search(g, 4, 2)) == [((), 0.0)]
+    # every label cell LOG_ZERO: the blank path is the only one
+    logp = np.full((3, tiny_alphabet.size), LOG_ZERO)
+    logp[:, BLANK] = 0.0
+    g = PosteriorGrid("u", tiny_alphabet, logp)
+    assert _pairs(prefix_beam_search(g, 4, 2)) == [((), 0.0)]
 
 
 def test_alphabet_unknown_symbol(tiny_alphabet):
@@ -240,6 +250,34 @@ def test_beam_deterministic_tie_break(tiny_alphabet):
     hyps = prefix_beam_search(g, 8, 3)
     # (), (a,), (b,) all carry 1/3; blank-free shorter first, then index order
     assert [h.sequence for h in hyps] == [(), (1,), (2,)]
+
+
+def test_beam_never_emits_a_zero_probability_label():
+    rng = np.random.default_rng(8)
+    probs = rng.dirichlet(np.ones(5), size=12)
+    probs[:, 3] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        g = PosteriorGrid("u", Alphabet(("a", "b", "c", "d")), np.log(probs))
+    hyps = prefix_beam_search(g, 32, 32)
+    assert len(hyps) == 32
+    assert all(3 not in h.sequence for h in hyps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       beam_width=st.integers(min_value=1, max_value=12),
+       concentration=st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+def test_pruned_beam_never_adds_mass(seed, beam_width, concentration):
+    """Pruning only drops paths: each kept score is at most the exact forward
+    score of its sequence, and the kept beam holds at most all of the mass."""
+    rng = np.random.default_rng(seed)
+    g = synth.random_grid(rng, max_frames=8, max_symbols=4,
+                          concentration=concentration)
+    hyps = prefix_beam_search(g, beam_width, beam_width)
+    for h in hyps:
+        assert h.log_score <= forward_logprob(g, h.sequence) + 1e-10
+    assert sum(math.exp(h.log_score) for h in hyps) <= 1.0 + 1e-10
 
 
 def test_beam_scores_are_python_floats():

@@ -4,9 +4,10 @@ replaced, on random inputs: equal lists, with bitwise-equal floats.
 ``generate_top_s`` stops as soon as no later completion can enter the top s;
 the reference runs every one of the ``max_len + 1`` levels and recomputes
 each smoothed distribution from the raw counts. ``prefix_beam_search``
-converts one row at a time to Python floats and selects with
-``heapq.nsmallest``; the reference reads numpy rows and fully sorts every
-frame.
+extends the whole beam at once as a (beam x (V+1)) numpy array, merges each
+member with its parent's extension, and selects with an ``np.partition``
+threshold and ``heapq.nsmallest``; the reference grows one prefix and one
+label at a time in dicts and fully sorts every frame.
 """
 
 from __future__ import annotations
@@ -198,6 +199,32 @@ def test_prefix_beam_search_equals_full_sort(seed, beam_width, uniform):
         # a small concentration peaks rows and underflows cells to LOG_ZERO
         grid = synth.random_grid(rng, max_frames=10, max_symbols=5,
                                  concentration=float(rng.choice([0.1, 0.5, 2.0])))
+    got = prefix_beam_search(grid, beam_width, k)
+    want = _reference_beam(grid, beam_width, k)
+    assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       beam_width=st.integers(min_value=1, max_value=64),
+       kind=st.sampled_from(["uniform", "sparse", "dirichlet"]),
+       full_k=st.booleans())
+def test_prefix_beam_search_equals_full_sort_at_bench_shapes(seed, beam_width, kind,
+                                                              full_k):
+    """Up to V = 40, 25 frames and width 64, the sizes where the array form
+    prunes hardest: uniform rows tie at the cut-off, a concentration of
+    0.05-0.1 leaves zero cells, and k = width returns the whole beam."""
+    rng = np.random.default_rng(seed)
+    k = beam_width if full_k else int(rng.integers(1, beam_width + 1))
+    symbols = tuple(f"p{i}" for i in range(int(rng.integers(1, 41))))
+    frames = int(rng.integers(1, 26))
+    if kind == "uniform":
+        logp = np.log(np.full((frames, len(symbols) + 1), 1.0 / (len(symbols) + 1)))
+        grid = PosteriorGrid("u", Alphabet(symbols), logp)
+    else:
+        concentration = float(rng.uniform(0.05, 0.1)) if kind == "sparse" else 1.0
+        grid = synth.random_grid(rng, frames=frames, symbols=symbols,
+                                 concentration=concentration)
     got = prefix_beam_search(grid, beam_width, k)
     want = _reference_beam(grid, beam_width, k)
     assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
