@@ -14,11 +14,13 @@ The same machinery stands in for any autoregressive text model with a
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from typing import Protocol, Sequence
 
 from .ioutil import FormatError, atomic_write_text
@@ -81,11 +83,22 @@ class NGramScorer:
             raise ValueError("context_window must be >= 0")
         if not self.languages:
             raise ValueError("scorer needs at least one language")
-        # candidate units of step 0 (lid tokens) and of every later step
+        if len(set(self.languages)) != len(self.languages):
+            raise ValueError("duplicate language in scorer inventory")
+        if len(set(self.units)) != len(self.units):
+            raise ValueError("duplicate unit in scorer inventory")
+        if any(len(unit) != 1 for unit in self.units):
+            raise ValueError("every scorer unit must be one character")
+        # candidates of step 0 (lid tokens) and of every later step, and the
+        # ones generation grows a stream by, in string order
         lids = tuple(lid_token(c) for c in self.languages)
-        later = self.units + (EOS,)
-        object.__setattr__(self, "_cands", (lids, later))
-        object.__setattr__(self, "_cand_sets", (frozenset(lids), frozenset(later)))
+        object.__setattr__(self, "_cand_sets",
+                           (frozenset(lids), frozenset(self.units + (EOS,))))
+        object.__setattr__(self, "_sorted",
+                           (tuple(sorted(lids)), tuple(sorted(self.units))))
+        # rows are built on first read: step 0 and later steps have separate
+        # tables because at order 1 they share state keys
+        object.__setattr__(self, "_rows", ({}, {}))
 
     # ---- state handling ------------------------------------------------
 
@@ -107,30 +120,32 @@ class NGramScorer:
             hist = (BOS,) * (need - len(hist)) + hist
         return ctx, hist
 
-    def _normalizer(self, key: StateKey,
-                    step: int) -> tuple[tuple[str, ...], dict[str, int], float]:
-        """The step's candidate set, the key's count bucket, and the smoothed
-        denominator ``total + alpha * len(candidates)`` shared by every
-        log-prob of the step."""
-        which = 0 if step == 0 else 1
-        cands = self._cands[which]  # type: ignore[attr-defined]
-        cand_set = self._cand_sets[which]  # type: ignore[attr-defined]
-        bucket = self.counts.get(key, {})
-        # integer counts: summing the bucket's few candidate entries gives
-        # the same total as summing over every candidate
-        total = sum(n for unit, n in bucket.items() if unit in cand_set)
-        return cands, bucket, total + self.smoothing_alpha * len(cands)
+    def _row(self, key: StateKey, step: int) -> tuple[float, dict[str, float]]:
+        """The smoothed step distribution at ``key``, the one definition of it.
 
-    def _distribution(self, key: StateKey, step: int) -> list[tuple[str, float]]:
-        """Smoothed conditional over the step's candidate set; sums to 1."""
-        cands, bucket, denom = self._normalizer(key, step)
-        alpha = self.smoothing_alpha
-        return [(c, math.log((bucket.get(c, 0) + alpha) / denom)) for c in cands]
+        Over the step's candidate set C, with n the key's counts, a candidate
+        has log-prob ``log((n + alpha) / denom)`` where ``denom = sum(n) +
+        alpha * |C|``. The row holds the floor ``log(alpha / denom)`` shared
+        by every zero-count candidate (and any unit outside C), plus the
+        log-prob of each candidate in the key's count bucket."""
+        which = 0 if step == 0 else 1
+        rows = self._rows[which]  # type: ignore[attr-defined]
+        if key not in self.counts:
+            key = None  # every key without counts has the same row
+        row = rows.get(key)
+        if row is None:
+            cands = self._cand_sets[which]  # type: ignore[attr-defined]
+            bucket = {u: n for u, n in self.counts.get(key, {}).items() if u in cands}
+            alpha = self.smoothing_alpha
+            # integer counts, so their sum does not depend on the order
+            denom = sum(bucket.values()) + alpha * len(cands)
+            seen = {u: math.log((n + alpha) / denom) for u, n in bucket.items()}
+            row = rows[key] = (math.log(alpha / denom), seen)
+        return row
 
     def _step_log_prob(self, key: StateKey, step: int, unit: str) -> float:
-        _, bucket, denom = self._normalizer(key, step)
-        # an out-of-vocabulary unit scores at the smoothing floor
-        return math.log((bucket.get(unit, 0) + self.smoothing_alpha) / denom)
+        floor, seen = self._row(key, step)
+        return seen.get(unit, floor)
 
     # ---- scoring -------------------------------------------------------
 
@@ -163,17 +178,36 @@ class NGramScorer:
                        beam_width: int | None = None) -> list[tuple[TargetText, float]]:
         """Beam search for the s most probable complete outputs.
 
-        Hypotheses are expanded level by level; at ``max_len`` graphemes only
-        the end marker may follow, so every returned string is complete and
-        its score equals ``log_score`` of that text exactly.
+        Hypotheses are expanded level by level, keeping the ``beam_width``
+        best by (score descending, stream ascending); at ``max_len``
+        graphemes only the end marker may follow, so every returned string
+        is complete and its score equals ``log_score`` of that text exactly.
+        The result equals that of growing every entry by every candidate,
+        fully sorting each level and running all ``max_len + 1`` levels,
+        because each shortcut below is exact:
 
-        The search stops early, with the same result as running all
-        ``max_len + 1`` levels, once s texts are complete and the best live
-        partial scores strictly below the s-th best of them. Every step adds
-        a log-prob <= 0 and every later completion extends a partial of the
-        current layer, so no later text can score above that partial or
-        enter the top s. The test is strict so that a later text tying the
-        s-th score still competes on the ``(lid, graphemes)`` tie-break.
+        - An entry grows by the units in its row's count bucket plus only
+          the first ``width`` zero-count units in string order. Its
+          zero-count children tie on score and break the tie on the stream
+          tuple, which they share up to that last unit, so no other
+          zero-count child can rank among the ``width`` kept.
+        - Entries are ``(-score, stream)`` tuples, so ``heapq.nsmallest``
+          keeps the same ``width`` in the same order as the full sort. A
+          child is ``(-score, stream, unit)`` until it is kept; all streams
+          of a level have one length, so it orders as ``stream + (unit,)``.
+          Rounding is sign-symmetric, so ``-score - lp`` equals
+          ``-(score + lp)`` bit for bit.
+        - Completions are ``(-score, lid, graphemes)``, which orders as
+          ``(-score, TargetText)``; only the s returned become ``TargetText``.
+        - The held s-th best completion only improves within a level, so an
+          end-marker completion scoring strictly below it at the start of
+          the level can never enter the top s. A tie still competes on the
+          ``(lid, graphemes)`` tie-break.
+        - The search stops once s texts are complete and the best live
+          partial scores strictly below the s-th of them. Every step adds a
+          log-prob <= 0 and every later completion extends a partial of the
+          current level, so no later text can enter the top s; the test is
+          strict for the same tie-break.
         """
         if s < 1:
             raise ValueError("s must be >= 1")
@@ -185,40 +219,41 @@ class NGramScorer:
             raise ValueError("beam_width must be >= 1")
 
         # the best (at most s) complete texts so far, best first
-        completed: list[tuple[float, TargetText]] = []
-        key = self._state_key(phonemes, 0, ())
-        layer = [((unit,), lp) for unit, lp in self._distribution(key, 0)]
-        layer.sort(key=lambda it: (-it[1], it[0]))
-        layer = layer[:width]
-
-        step = 1
+        completed: list[tuple[float, str, str]] = []
+        # level 0 grows the empty stream by the lid tokens
+        layer: list[tuple[float, tuple[str, ...]]] = [(-0.0, ())]
+        step = 0
         while layer and step <= max_len + 1:
-            if len(completed) == s and layer[0][1] < completed[-1][0]:
+            cutoff = completed[-1][0] if len(completed) == s else math.inf
+            if layer[0][0] > cutoff:
                 break
-            grown: list[tuple[tuple[str, ...], float]] = []
-            for stream, score in layer:
-                key = self._state_key(phonemes, step, stream)
-                for unit, lp in self._distribution(key, step):
-                    if unit == EOS:
-                        lid = stream[0][len("<lid:"):-1]
-                        text = TargetText(lid=lid, graphemes="".join(stream[1:]))
-                        completed.append((score + lp, text))
-                    elif step <= max_len:
-                        grown.append((stream + (unit,), score + lp))
-            completed.sort(key=lambda it: (-it[0], it[1]))
-            del completed[s:]
-            grown.sort(key=lambda it: (-it[1], it[0]))
-            layer = grown[:width]
+            order = self._sorted[0 if step == 0 else 1]  # type: ignore[attr-defined]
+            grown: list[tuple[float, tuple[str, ...], str]] = []
+            for neg, stream in layer:
+                floor, seen = self._row(self._state_key(phonemes, step, stream), step)
+                if step:
+                    done = neg - seen.get(EOS, floor)
+                    if done <= cutoff:
+                        completed.append((done, stream[0][len("<lid:"):-1],
+                                          "".join(stream[1:])))
+                if step <= max_len:
+                    grown += [(neg - lp, stream, unit)
+                              for unit, lp in seen.items() if unit != EOS]
+                    unseen = neg - floor
+                    zeros = islice(filterfalse(seen.__contains__, order), width)
+                    grown += [(unseen, stream, unit) for unit in zeros]
+            completed = heapq.nsmallest(s, completed)
+            layer = [(neg, stream + (unit,))
+                     for neg, stream, unit in heapq.nsmallest(width, grown)]
             step += 1
 
-        return [(text, score) for score, text in completed]
+        return [(TargetText(lid, graphemes), -neg) for neg, lid, graphemes in completed]
 
     def predict_lid(self, phonemes: Sequence[str]) -> str:
         """Most probable language for the phonemes; ties take the
         lexicographically smaller code (languages are stored sorted)."""
-        key = self._state_key(tuple(phonemes), 0, ())
-        dist = dict(self._distribution(key, 0))
-        return max(self.languages, key=lambda code: dist[lid_token(code)])
+        floor, seen = self._row(self._state_key(tuple(phonemes), 0, ()), 0)
+        return max(self.languages, key=lambda code: seen.get(lid_token(code), floor))
 
 
 def train_scorer(pairs: Sequence[tuple[Sequence[str], TargetText]], order: int = 3,

@@ -274,6 +274,20 @@ def test_score_resample_draws_fresh_each_epoch(workdir, tmp_path):
     assert first != second
 
 
+def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsys):
+    payload = json.loads((workdir / "scorer.json").read_text(encoding="utf-8"))
+    payload["languages"].append(payload["languages"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "decoded.jsonl"
+    code = cli.main(["decode", "--grids", str(workdir / "grids.jsonl"),
+                     "--scorer", str(bad), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "duplicate language" in err
+    assert not out.exists()
+
+
 def test_decode_then_eval(workdir, tmp_path, capsys):
     decoded = tmp_path / "decoded.jsonl"
     report = tmp_path / "report.json"

@@ -1,9 +1,12 @@
 """The fast decode paths against test-local copies of the plain loops they
 replaced, on random inputs: equal lists, with bitwise-equal floats.
 
-``generate_top_s`` stops as soon as no later completion can enter the top s;
-the reference runs every one of the ``max_len + 1`` levels and recomputes
-each smoothed distribution from the raw counts. ``prefix_beam_search``
+``generate_top_s`` reads memoized scorer rows, grows each entry by its
+counted units plus the first ``width`` uncounted ones in string order, and
+stops as soon as no later completion can enter the top s; the reference
+grows every entry by every candidate, fully sorts each level, runs every one
+of the ``max_len + 1`` levels and recomputes each smoothed distribution
+from the raw counts. ``prefix_beam_search``
 extends the whole beam at once as a (beam x (V+1)) numpy array, merges each
 member with its parent's extension, and selects with an ``np.partition``
 threshold and ``heapq.nsmallest``; the reference grows one prefix and one
@@ -12,10 +15,12 @@ label at a time in dicts and fully sorts every frame.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,11 +71,14 @@ def _reference_generate(scorer, phonemes, s, max_len, beam_width):
     return [(text, score) for score, text in completed[:s]]
 
 
-def _random_scorer(rnd: random.Random) -> NGramScorer:
+def _random_scorer(rnd: random.Random, letters: str | None = None,
+                   order: int | None = None) -> NGramScorer:
     phones = [f"p{i}" for i in range(rnd.randint(1, 5))]
-    letters = "abcdef"[:rnd.randint(1, 6)]
+    if letters is None:
+        letters = "abcdef"[:rnd.randint(1, 6)]
     lids = ["xa", "xb", "xc"][:rnd.randint(1, 3)]
-    order = rnd.randint(1, 3)
+    if order is None:
+        order = rnd.randint(1, 3)
     # 1e-30 makes seen units certain in floats, so ties are exact
     alpha = rnd.choice([1e-30, 0.05, 0.1, 0.5, 1.0])
     window = rnd.randint(0, 2)
@@ -103,6 +111,74 @@ def test_generate_top_s_equals_full_depth(seed, s, beam_width, max_len):
     got = scorer.generate_top_s(phonemes, s, max_len, beam_width=beam_width)
     want = _reference_generate(scorer, phonemes, s, max_len, beam_width)
     assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("beam_width", [1, 2, 3, None])
+@pytest.mark.parametrize("counts", ["none", "some"])
+def test_generate_top_s_takes_zero_count_units_in_string_order(beam_width, counts):
+    """Units and languages are stored out of string order. Zero-count
+    children tie on score, so the ones kept are the first in string order,
+    not in stored order."""
+    lids = ("xc", "xa", "xb")
+    table = {}
+    if counts == "some":
+        table = {((), (BOS,)): {lid_token("xb"): 2},
+                 ((), (lid_token("xb"),)): {"c": 3, EOS: 1},
+                 ((), ("c",)): {"c": 1}}
+    scorer = NGramScorer(order=2, smoothing_alpha=0.5, context_window=0,
+                         languages=lids, units=("d", "c", "b", "a"), counts=table)
+    got = scorer.generate_top_s((), 6, max_len=3, beam_width=beam_width)
+    assert _bits(got) == _bits(_reference_generate(scorer, (), 6, 3, beam_width))
+
+
+# Latin, Latin with diacritics and Cyrillic; string order puts é after z and ё after я
+_WIDE_LETTERS = "abcdeéèêfgijkmnoöprsštuüvzžабвгдеёжзийклмнопрстуфхцчшщъыьэюя"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       s=st.integers(min_value=1, max_value=6),
+       max_len=st.integers(min_value=0, max_value=5),
+       shuffled=st.booleans())
+def test_generate_top_s_equals_full_depth_on_wide_inventories(seed, s, max_len, shuffled):
+    """|U| from 8 to 40 with a beam narrower than |U|. The inventory holds
+    every letter, trained or not, so most units of a row have zero count and
+    only some of them may be grown."""
+    rnd = random.Random(seed)
+    letters = rnd.sample(_WIDE_LETTERS, rnd.randint(8, 40))
+    scorer = _random_scorer(rnd, letters="".join(letters))
+    if not shuffled:
+        letters.sort()
+    scorer = dataclasses.replace(scorer, units=tuple(letters))
+    beam_width = rnd.randint(1, len(letters) - 1)
+    phonemes = tuple(f"p{rnd.randint(0, 4)}" for _ in range(rnd.randint(0, 7)))
+    got = scorer.generate_top_s(phonemes, s, max_len, beam_width=beam_width)
+    want = _reference_generate(scorer, phonemes, s, max_len, beam_width)
+    assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       order=st.integers(min_value=1, max_value=3))
+def test_step_log_probs_equal_reference_distribution(seed, order):
+    """At order 1, step 0 and the later steps share state keys but not
+    candidate sets, so their rows must not be shared. Each text is scored
+    twice: a row read from the memo must equal the one just built."""
+    rnd = random.Random(seed)
+    scorer = _random_scorer(rnd, order=order)
+    for _ in range(4):
+        phonemes = tuple(f"p{rnd.randint(0, 4)}" for _ in range(rnd.randint(0, 7)))
+        n = rnd.randint(0, 6) if scorer.units else 0
+        graphemes = "".join(rnd.choices(scorer.units, k=n))
+        y = TargetText(rnd.choice(scorer.languages), graphemes)
+        stream = (lid_token(y.lid), *y.graphemes, EOS)
+        want = []
+        for step, unit in enumerate(stream):
+            key = scorer._state_key(phonemes, step, stream[:step])
+            want.append(dict(_reference_distribution(scorer, key, step))[unit])
+        for _ in range(2):
+            got = scorer.step_log_probs(y, phonemes)
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
 
 def test_generate_top_s_returns_all_when_s_exceeds_reachable():

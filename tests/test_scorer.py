@@ -89,6 +89,32 @@ def test_config_validation():
                     languages=(), units=("a",), counts={})
 
 
+@pytest.mark.parametrize("languages,units", [
+    (("xa", "xa"), ("a",)),
+    (("xa",), ("b", "a", "a")),
+    (("xa",), ("a", "ab")),
+    (("xa",), ("a", "")),
+    (("xa",), ("a", EOS)),
+], ids=["duplicate-language", "duplicate-unit", "two-characters", "empty-unit", "eos-unit"])
+def test_malformed_inventory_rejected(languages, units):
+    """A duplicate would be generated twice and count twice in the
+    denominator; a unit other than one character cannot be told apart from
+    its neighbours in the grapheme string, or from the end marker."""
+    with pytest.raises(ValueError):
+        NGramScorer(order=2, smoothing_alpha=0.1, context_window=1,
+                    languages=languages, units=units, counts={})
+
+
+def test_load_rejects_malformed_inventory(tmp_path, trained_scorer):
+    path = tmp_path / "scorer.json"
+    save_scorer(trained_scorer, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["units"].append(payload["units"][0])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="duplicate unit"):
+        load_scorer(path)
+
+
 # ---- distributions ------------------------------------------------------
 
 
