@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import ctc, data, marginal, metrics
 from .decode import decode as decode_grid, load_hypotheses, save_decode_results
-from .ioutil import FormatError, atomic_write_lines, atomic_write_text
+from .ioutil import FormatError, atomic_write_text, read_json_object, write_jsonl
 from .scorer import load_scorer, save_scorer, train_scorer
 from .seeding import derive_rng
 from .selftest import run_selftest
@@ -55,11 +54,11 @@ class RunConfig:
     seed: int | None = _opt(None, low=0, help="global random seed")
     k: int = _opt(8, low=1, help="phoneme hypotheses per utterance")
     s: int = _opt(4, low=1, help="texts generated per hypothesis")
-    beam_width: int = _opt(16, low=1, help="prefix beam width")
+    beam_width: int = _opt(16, low=1,
+                           help="prefix beam width, widened to the hypotheses asked for")
     n_best: int = _opt(16, low=1, help="noisy phoneme sequences per utterance")
     target_hours: float = _opt(240.0, help="hours to oversample each language up to")
-    method: str = _opt("sskm", choices=("tkm", "skm", "sskm"),
-                       help="marginal estimator")
+    method: str = _opt("sskm", choices=marginal.METHODS, help="marginal estimator")
     # None lets each command pick its own default: off for score, on for decode
     normalize_weights: bool | None = _opt(
         None, help="rescale hypothesis weights to sum to one")
@@ -87,24 +86,12 @@ def _kind(f: dataclasses.Field) -> type:
     return _KINDS[f.type.split(" | ")[0]]
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON ({exc.msg})", path=path,
-                          line_no=exc.lineno) from exc
-    if not isinstance(obj, dict):
-        raise FormatError("config must be a JSON object", path=path)
-    return obj
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by explicit flags."""
     values = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        values = _load_config_file(config_path)
+        values = read_json_object(config_path, "config must be a JSON object")
         for key in values:
             if key != "paths" and key not in _OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -148,6 +135,12 @@ def _path(args: argparse.Namespace, cfg: RunConfig, key: str) -> str:
     return value
 
 
+def _beam_width(cfg: RunConfig, count: int) -> int:
+    """The one beam-width rule: ``--beam-width``, widened to the number of
+    hypotheses the command asks for, since a beam never returns more."""
+    return max(cfg.beam_width, count)
+
+
 def _require_seed(cfg: RunConfig) -> int:
     if cfg.seed is None:
         raise ConfigError("this command is randomized: pass an explicit --seed")
@@ -178,15 +171,13 @@ def _refs_with_grids(args, cfg: RunConfig
 
 def cmd_beam(args, cfg: RunConfig) -> int:
     grids = ctc.load_grids(_path(args, cfg, "in"), cfg.renormalize)
-    lines = []
-    for grid in grids:
-        hyps = ctc.prefix_beam_search(grid, cfg.beam_width, cfg.k)
-        lines.append(json.dumps({
-            "id": grid.utterance_id,
-            "hyps": [{"phonemes": list(grid.alphabet.to_symbols(h.sequence)),
-                      "logp": h.log_score} for h in hyps],
-        }, ensure_ascii=False))
-    atomic_write_lines(_path(args, cfg, "out"), lines)
+    width = _beam_width(cfg, cfg.k)
+    write_jsonl(_path(args, cfg, "out"), ({
+        "id": grid.utterance_id,
+        "hyps": [{"phonemes": list(grid.alphabet.to_symbols(h.sequence)),
+                  "logp": h.log_score}
+                 for h in ctc.prefix_beam_search(grid, width, cfg.k)],
+    } for grid in grids))
     log.info("beam: %d utterances", len(grids))
     return 0
 
@@ -194,15 +185,13 @@ def cmd_beam(args, cfg: RunConfig) -> int:
 def cmd_sample(args, cfg: RunConfig) -> int:
     seed = _require_seed(cfg)
     grids = ctc.load_grids(_path(args, cfg, "in"), cfg.renormalize)
-    lines = []
+    rows = []
     for grid in grids:
         rng = derive_rng(seed, grid.utterance_id)
         seqs = ctc.sample_k_hypotheses(grid, cfg.k, rng, cfg.temperature)
-        lines.append(json.dumps({
-            "id": grid.utterance_id,
-            "samples": [list(grid.alphabet.to_symbols(s)) for s in seqs],
-        }, ensure_ascii=False))
-    atomic_write_lines(_path(args, cfg, "out"), lines)
+        rows.append({"id": grid.utterance_id,
+                     "samples": [list(grid.alphabet.to_symbols(s)) for s in seqs]})
+    write_jsonl(_path(args, cfg, "out"), rows)
     return 0
 
 
@@ -213,9 +202,9 @@ def _epoch_seed(seed: int, epoch: int, resample: bool) -> int:
 
 
 def cmd_score(args, cfg: RunConfig) -> int:
-    method = marginal.Method(cfg.method)
+    method = cfg.method
     seed = cfg.seed
-    if method in (marginal.Method.SKM, marginal.Method.SSKM):
+    if method != "tkm":
         seed = _require_seed(cfg)
     pairs = _refs_with_grids(args, cfg)
     model = load_scorer(_path(args, cfg, "scorer"))
@@ -228,21 +217,21 @@ def cmd_score(args, cfg: RunConfig) -> int:
                               path=_path(args, cfg, "refs"))
     records = [(grid, rec.text) for rec, grid in pairs]
 
-    lines = []
+    rows = []
     for epoch in range(cfg.epochs):
         batch = marginal.batch_objective(
             records, model, method, cfg.k,
             seed=_epoch_seed(seed if seed is not None else 0, epoch, cfg.resample),
-            beam_width=cfg.beam_width, normalize_weights=bool(cfg.normalize_weights))
+            beam_width=_beam_width(cfg, cfg.k),
+            normalize_weights=bool(cfg.normalize_weights))
         for utt_id, nll in batch.per_record:
-            obj = {"id": utt_id, "method": method.value, "k": cfg.k,
-                   "log_marginal": -nll}
+            obj = {"id": utt_id, "method": method, "k": cfg.k, "log_marginal": -nll}
             if cfg.epochs > 1:
                 obj["epoch"] = epoch
-            lines.append(json.dumps(obj, ensure_ascii=False))
+            rows.append(obj)
         print(f"epoch {epoch}: mean nll {batch.mean_nll:.6f} "
-              f"({method.value}, k={cfg.k}, {len(records)} utterances)")
-    atomic_write_lines(_path(args, cfg, "out"), lines)
+              f"({method}, k={cfg.k}, {len(records)} utterances)")
+    write_jsonl(_path(args, cfg, "out"), rows)
     return 0
 
 
@@ -252,7 +241,7 @@ def cmd_decode(args, cfg: RunConfig) -> int:
     items = []
     for grid in grids:
         result = decode_grid(grid, model, cfg.k, cfg.s,
-                             beam_width=cfg.beam_width, max_len=cfg.max_len,
+                             beam_width=_beam_width(cfg, cfg.k), max_len=cfg.max_len,
                              normalize_weights=cfg.normalize_weights is not False)
         items.append((grid.utterance_id, result))
     save_decode_results(items, _path(args, cfg, "out"))
@@ -262,7 +251,7 @@ def cmd_decode(args, cfg: RunConfig) -> int:
 
 def cmd_augment(args, cfg: RunConfig) -> int:
     pairs = _refs_with_grids(args, cfg)
-    width = max(cfg.beam_width, cfg.n_best)
+    width = _beam_width(cfg, cfg.n_best)
     lines = []
     for rec, grid in pairs:
         lines.extend(data.generate_danp(grid, rec, cfg.n_best, beam_width=width,

@@ -10,13 +10,12 @@ flows through an explicit numpy Generator.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ioutil import FormatError, atomic_write_lines, field, iter_jsonl
+from .ioutil import FormatError, field, iter_jsonl, write_jsonl
 from .logmath import LOG_ZERO, log_add
 
 BLANK = 0
@@ -358,13 +357,12 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
 def save_grids(grids: Iterable[PosteriorGrid], path) -> None:
     """Write grids as strict JSON lines: JSON has no infinity, so a
     zero-probability cell is written as ``null``."""
-    lines = []
-    for grid in grids:
+    def cells(grid: PosteriorGrid) -> list:
         rows = grid.logp.tolist()
         # most grids have no zero cell and skip the per-cell pass
         if np.isneginf(grid.logp).any():
             rows = [[None if v == LOG_ZERO else v for v in row] for row in rows]
-        obj = {"id": grid.utterance_id, "symbols": list(grid.alphabet.symbols),
-               "logp": rows}
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    atomic_write_lines(path, lines)
+        return rows
+
+    write_jsonl(path, ({"id": grid.utterance_id, "symbols": list(grid.alphabet.symbols),
+                        "logp": cells(grid)} for grid in grids))

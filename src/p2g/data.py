@@ -7,7 +7,6 @@ the CTC layer and are converted at the boundary through a grid's alphabet.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import ctc
 from .ctc import PosteriorGrid
-from .ioutil import FormatError, atomic_write_lines, field, iter_jsonl
+from .ioutil import FormatError, atomic_write_lines, field, iter_jsonl, write_jsonl
 from .scorer import TargetText, lid_token
 
 IPA_TAG = "<ipa>"
@@ -52,9 +51,6 @@ class CorpusManifest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def by_language(self) -> dict[str, list[UtteranceRecord]]:
         groups: dict[str, list[UtteranceRecord]] = defaultdict(list)
@@ -108,7 +104,7 @@ def parse_training_line(line: str) -> tuple[tuple[str, ...], TargetText]:
 
 
 def generate_danp(grid: PosteriorGrid, record: UtteranceRecord, n_best: int,
-                  beam_width: int | None = None,
+                  beam_width: int,
                   include_clean: bool = False) -> list[tuple[tuple[str, ...], TargetText]]:
     """Noisy training pairs: the n-best phoneme hypotheses for the utterance,
     each paired with the clean reference text, in beam-rank order.
@@ -119,8 +115,7 @@ def generate_danp(grid: PosteriorGrid, record: UtteranceRecord, n_best: int,
     """
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
-    width = beam_width if beam_width is not None else max(2 * n_best, 16)
-    hyps = ctc.prefix_beam_search(grid, width, n_best)
+    hyps = ctc.prefix_beam_search(grid, beam_width, n_best)
     pairs = [(grid.alphabet.to_symbols(h.sequence), record.text) for h in hyps]
     if include_clean:
         pairs.append((record.phonemes, record.text))
@@ -201,16 +196,16 @@ def load_manifest(path) -> CorpusManifest:
     return CorpusManifest(records=tuple(records))
 
 
-def record_to_json(rec: UtteranceRecord) -> str:
+def _record_obj(rec: UtteranceRecord) -> dict:
     obj: dict = {"id": rec.utterance_id, "lang": rec.lang, "dur_sec": rec.dur_sec,
                  "phonemes": list(rec.phonemes), "text": rec.text.graphemes}
     if rec.repeat:
         obj["repeat"] = True
-    return json.dumps(obj, ensure_ascii=False)
+    return obj
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
-    atomic_write_lines(path, (record_to_json(rec) for rec in manifest.records))
+    write_jsonl(path, (_record_obj(rec) for rec in manifest.records))
 
 
 def load_training_lines(path) -> list[tuple[tuple[str, ...], TargetText]]:

@@ -2,21 +2,19 @@
 then marginal rescoring of the pooled candidates.
 
 Each of the top-k phoneme hypotheses proposes its s best texts; the k*s
-candidates are deduplicated and every text is rescored with
-logsumexp_k(weight_k + log p(y | h_k)), where a hypothesis that never
-proposed y contributes probability zero.
+candidates are deduplicated and rescored by ``pool_and_rescore``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import ctc
 from .ctc import PosteriorGrid, ScoredHypothesis
-from .ioutil import FormatError, atomic_write_lines, field, iter_jsonl
-from .logmath import LOG_ZERO, log_add, log_sum
+from .ioutil import FormatError, field, iter_jsonl, write_jsonl
+from .logmath import LOG_ZERO, log_add
+from .marginal import hypothesis_weights
 from .scorer import ConditionalScorer, TargetText
 
 
@@ -33,20 +31,22 @@ def pool_and_rescore(hyps: Sequence[ScoredHypothesis],
                      normalize_weights: bool = False) -> list[tuple[TargetText, float]]:
     """Merge per-hypothesis candidate lists into one deduplicated ranking.
 
-    ``candidates[i]`` holds (text, log p(text | hyps[i])) pairs. The pooled
-    score of a text sums contributions over the hypotheses that proposed it;
-    the rest contribute nothing. Sorted by score, ties by (lid, graphemes).
+    ``candidates[i]`` holds (text, log p(text | hyps[i])) pairs. Sorted by
+    score, ties by (lid, graphemes).
+
+    This is the one place that scores a text differently from
+    ``marginal.tkm_log_marginal``: the pooled score sums, with sequential
+    ``log_add`` in hypothesis order, only over the hypotheses that proposed
+    the text; the rest contribute probability zero. Routing the pool through
+    the tkm sum would add the non-proposing hypotheses and round through
+    ``log_sum`` instead, which changes decode output bytes.
     """
     if not hyps:
         raise ValueError("hypothesis list must be non-empty")
     if len(hyps) != len(candidates):
         raise ValueError("hypothesis and candidate lists are misaligned")
-    weights = [h.log_score for h in hyps]
-    if normalize_weights:
-        z = log_sum(weights)
-        weights = [w - z for w in weights]
     pooled: dict[TargetText, float] = {}
-    for weight, cands in zip(weights, candidates):
+    for weight, cands in zip(hypothesis_weights(hyps, normalize_weights), candidates):
         for text, lp in cands:
             pooled[text] = log_add(pooled.get(text, LOG_ZERO), weight + lp)
     ranked = sorted(pooled.items(), key=lambda it: (-it[1], it[0]))
@@ -54,7 +54,7 @@ def pool_and_rescore(hyps: Sequence[ScoredHypothesis],
 
 
 def decode(grid: PosteriorGrid, scorer: ConditionalScorer, k: int, s: int,
-           beam_width: int | None = None, max_len: int = 64,
+           beam_width: int, max_len: int = 64,
            normalize_weights: bool = True) -> DecodeResult:
     """Best text for one utterance plus the full rescored pool.
 
@@ -64,8 +64,7 @@ def decode(grid: PosteriorGrid, scorer: ConditionalScorer, k: int, s: int,
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be >= 1")
-    width = beam_width if beam_width is not None else max(4 * k, 16)
-    hyps = ctc.prefix_beam_search(grid, width, k)
+    hyps = ctc.prefix_beam_search(grid, beam_width, k)
     candidates = [scorer.generate_top_s(grid.alphabet.to_symbols(h.sequence), s, max_len)
                   for h in hyps]
     pool = pool_and_rescore(hyps, candidates, normalize_weights)
@@ -76,17 +75,12 @@ def decode(grid: PosteriorGrid, scorer: ConditionalScorer, k: int, s: int,
 
 def save_decode_results(items: Iterable[tuple[str, DecodeResult]], path) -> None:
     """One JSON line per utterance: id, winning lid/text, and the pool."""
-    lines = []
-    for utt_id, result in items:
-        obj = {
-            "id": utt_id,
-            "lid": result.best.lid,
-            "text": result.best.graphemes,
-            "pool": [{"lid": t.lid, "text": t.graphemes, "logp": lp}
-                     for t, lp in result.pool],
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    atomic_write_lines(path, lines)
+    write_jsonl(path, ({
+        "id": utt_id,
+        "lid": result.best.lid,
+        "text": result.best.graphemes,
+        "pool": [{"lid": t.lid, "text": t.graphemes, "logp": lp} for t, lp in result.pool],
+    } for utt_id, result in items))
 
 
 def load_hypotheses(path) -> dict[str, TargetText]:

@@ -1,12 +1,14 @@
-"""File helpers shared by the loaders: line-delimited JSON and atomic writes."""
+"""File helpers shared by the loaders and writers: JSON and line-delimited
+JSON, and atomic writes."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 
 class FormatError(ValueError):
@@ -52,13 +54,15 @@ def field(obj: dict, key: str, kind: type | tuple[type, ...], *,
     return value
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write the full content to a sibling temp file, then rename into place."""
+@contextmanager
+def _atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A sibling temp file that is renamed into place when the block exits
+    cleanly and deleted when it raises."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -68,5 +72,32 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def atomic_write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    with _atomic_file(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_jsonl(path: str | os.PathLike, objs: Iterable) -> None:
+    """The one JSONL writer: each object as one line of ``json.dumps`` with
+    ``ensure_ascii=False``, written atomically."""
+    atomic_write_lines(path, (json.dumps(obj, ensure_ascii=False) for obj in objs))
+
+
+def read_json_object(path: str | os.PathLike, not_object: str) -> dict:
+    """Parse a whole file as one JSON object; ``not_object`` is the error
+    message when the document is valid JSON of another type."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON ({exc.msg})", path=path,
+                              line_no=exc.lineno) from exc
+    if not isinstance(obj, dict):
+        raise FormatError(not_object, path=path)
+    return obj

@@ -9,7 +9,7 @@ depends only on the step index, so scoring and generation walk identical
 state keys.
 
 The same machinery stands in for any autoregressive text model with a
-``log_score`` / ``generate_top_s`` / ``predict_lid`` interface.
+``log_score`` / ``generate_top_s`` interface.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import filterfalse, islice
 from typing import Protocol, Sequence
 
-from .ioutil import FormatError, atomic_write_text
+from .ioutil import FormatError, atomic_write_text, read_json_object
 
 EOS = "<eos>"
 BOS = "<bos>"
@@ -57,8 +57,6 @@ class ConditionalScorer(Protocol):
     def generate_top_s(self, phonemes: Sequence[str], s: int,
                        max_len: int = 64) -> list[tuple[TargetText, float]]: ...
 
-    def predict_lid(self, phonemes: Sequence[str]) -> str: ...
-
 
 StateKey = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -89,11 +87,16 @@ class NGramScorer:
             raise ValueError("duplicate unit in scorer inventory")
         if any(len(unit) != 1 for unit in self.units):
             raise ValueError("every scorer unit must be one character")
+        lids = tuple(lid_token(c) for c in self.languages)
+        cand_sets = (frozenset(lids), frozenset(self.units + (EOS,)))
+        # no row reads a count outside both candidate sets, so it would be lost
+        stray = set().union(*self.counts.values()) - cand_sets[0] - cand_sets[1]
+        if stray:
+            raise ValueError(f"counts for units outside the scorer inventory: "
+                             f"{', '.join(map(repr, sorted(stray)))}")
         # candidates of step 0 (lid tokens) and of every later step, and the
         # ones generation grows a stream by, in string order
-        lids = tuple(lid_token(c) for c in self.languages)
-        object.__setattr__(self, "_cand_sets",
-                           (frozenset(lids), frozenset(self.units + (EOS,))))
+        object.__setattr__(self, "_cand_sets", cand_sets)
         object.__setattr__(self, "_sorted",
                            (tuple(sorted(lids)), tuple(sorted(self.units))))
         # rows are built on first read: step 0 and later steps have separate
@@ -249,12 +252,6 @@ class NGramScorer:
 
         return [(TargetText(lid, graphemes), -neg) for neg, lid, graphemes in completed]
 
-    def predict_lid(self, phonemes: Sequence[str]) -> str:
-        """Most probable language for the phonemes; ties take the
-        lexicographically smaller code (languages are stored sorted)."""
-        floor, seen = self._row(self._state_key(tuple(phonemes), 0, ()), 0)
-        return max(self.languages, key=lambda code: seen.get(lid_token(code), floor))
-
 
 def train_scorer(pairs: Sequence[tuple[Sequence[str], TargetText]], order: int = 3,
                  smoothing_alpha: float = 0.1, context_window: int = 1) -> NGramScorer:
@@ -304,13 +301,8 @@ def save_scorer(scorer: NGramScorer, path) -> None:
 
 
 def load_scorer(path) -> NGramScorer:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON ({exc.msg})", path=path,
-                              line_no=exc.lineno) from exc
-    if not isinstance(payload, dict) or payload.get("format") != SCORER_FORMAT:
+    payload = read_json_object(path, "not a scorer file")
+    if payload.get("format") != SCORER_FORMAT:
         raise FormatError("not a scorer file", path=path)
     if payload.get("version") != SCORER_VERSION:
         raise FormatError(f"unsupported scorer version {payload.get('version')!r}",

@@ -288,6 +288,31 @@ def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsy
     assert not out.exists()
 
 
+def test_decode_with_counts_outside_scorer_inventory_exits_2(workdir, tmp_path, capsys):
+    payload = json.loads((workdir / "scorer.json").read_text(encoding="utf-8"))
+    payload["counts"][0]["n"]["<unknown>"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "decoded.jsonl"
+    code = cli.main(["decode", "--grids", str(workdir / "grids.jsonl"),
+                     "--scorer", str(bad), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'<unknown>'" in err
+    assert not out.exists()
+
+
+def test_beam_widens_to_k_when_k_exceeds_the_default_width(workdir, tmp_path):
+    """--k above the default --beam-width of 16 widens the beam to k, as an
+    explicit --beam-width equal to k would."""
+    implied, explicit = tmp_path / "implied.jsonl", tmp_path / "explicit.jsonl"
+    grids = str(workdir / "grids.jsonl")
+    assert cli.main(["beam", "--in", grids, "--k", "20", "--out", str(implied)]) == 0
+    assert cli.main(["beam", "--in", grids, "--k", "20", "--beam-width", "20",
+                     "--out", str(explicit)]) == 0
+    assert implied.read_bytes() == explicit.read_bytes()
+
+
 def test_decode_then_eval(workdir, tmp_path, capsys):
     decoded = tmp_path / "decoded.jsonl"
     report = tmp_path / "report.json"

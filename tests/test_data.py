@@ -126,7 +126,7 @@ def test_danp_pairs_noisy_hypotheses_with_clean_text(corpus, tiny_alphabet):
     grids, manifest = corpus
     by_id = {g.utterance_id: g for g in grids}
     record = manifest.records[0]
-    pairs = generate_danp(by_id[record.utterance_id], record, n_best=4)
+    pairs = generate_danp(by_id[record.utterance_id], record, n_best=4, beam_width=16)
     assert 1 <= len(pairs) <= 4
     assert all(text == record.text for _, text in pairs)
     assert len({ph for ph, _ in pairs}) == len(pairs)  # distinct hypotheses
@@ -137,14 +137,14 @@ def test_danp_include_clean_appends_reference(corpus):
     by_id = {g.utterance_id: g for g in grids}
     record = manifest.records[2]
     pairs = generate_danp(by_id[record.utterance_id], record, n_best=2,
-                          include_clean=True)
+                          beam_width=16, include_clean=True)
     assert pairs[-1] == (record.phonemes, record.text)
 
 
 def test_danp_rejects_bad_n_best(corpus):
     grids, manifest = corpus
     with pytest.raises(ValueError):
-        generate_danp(grids[0], manifest.records[0], n_best=0)
+        generate_danp(grids[0], manifest.records[0], n_best=0, beam_width=16)
 
 
 # ---- oversampling -------------------------------------------------------

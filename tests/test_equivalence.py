@@ -1,5 +1,6 @@
-"""The fast decode paths against test-local copies of the plain loops they
-replaced, on random inputs: equal lists, with bitwise-equal floats.
+"""The fast decode paths and the shared marginal sum against test-local
+copies of the code they replaced, on random inputs: equal lists, with
+bitwise-equal floats.
 
 ``generate_top_s`` reads memoized scorer rows, grows each entry by its
 counted units plus the first ``width`` uncounted ones in string order, and
@@ -10,7 +11,9 @@ from the raw counts. ``prefix_beam_search``
 extends the whole beam at once as a (beam x (V+1)) numpy array, merges each
 member with its parent's extension, and selects with an ``np.partition``
 threshold and ``heapq.nsmallest``; the reference grows one prefix and one
-label at a time in dicts and fully sorts every frame.
+label at a time in dicts and fully sorts every frame. ``skm_log_marginal``
+and ``sskm_log_marginal`` build weighted hypothesis lists for
+``tkm_log_marginal``; the references write out each estimator's own sum.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,9 +29,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2g import synth
-from p2g.ctc import BLANK, Alphabet, PosteriorGrid, prefix_beam_search
-from p2g.logmath import LOG_ZERO, log_add
+from p2g.ctc import (
+    BLANK,
+    Alphabet,
+    PosteriorGrid,
+    forward_logprob,
+    prefix_beam_search,
+    sample_k_hypotheses,
+)
+from p2g.logmath import LOG_ZERO, log_add, log_sum
+from p2g.marginal import skm_log_marginal, sskm_log_marginal
 from p2g.scorer import BOS, EOS, NGramScorer, TargetText, lid_token, train_scorer
+from p2g.seeding import derive_rng
+from p2g.selftest import HashScorer
 
 # ---- reference: full-depth text generation --------------------------------
 
@@ -304,3 +318,47 @@ def test_prefix_beam_search_equals_full_sort_at_bench_shapes(seed, beam_width, k
     got = prefix_beam_search(grid, beam_width, k)
     want = _reference_beam(grid, beam_width, k)
     assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
+
+
+# ---- reference: each sampled marginal's own sum ---------------------------
+
+
+def _reference_skm(grid, y, scorer, k, rng):
+    distinct = sorted(set(sample_k_hypotheses(grid, k, rng)))
+    terms = [forward_logprob(grid, h) + scorer.log_score(y, grid.alphabet.to_symbols(h))
+             for h in distinct]
+    return log_sum(terms)
+
+
+def _reference_sskm(grid, y, scorer, k, rng):
+    tally = Counter(sample_k_hypotheses(grid, k, rng))
+    terms = [scorer.log_score(y, grid.alphabet.to_symbols(h)) + math.log(n)
+             for h, n in sorted(tally.items())]
+    return log_sum(terms) - math.log(k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       k=st.one_of(st.just(1), st.integers(min_value=2, max_value=400)),
+       zeros=st.booleans())
+def test_sampled_marginals_equal_their_own_sums(seed, k, zeros):
+    """Up to 4 frames over up to 3 symbols, so a large k draws each sequence
+    many times. ``zeros`` sets cells to probability zero, keeping each row's
+    largest cell, so some paths and sequences are unreachable."""
+    rng = np.random.default_rng(seed)
+    grid = synth.random_grid(rng, max_frames=4, max_symbols=3)
+    if zeros:
+        probs = np.exp(grid.logp)
+        mask = rng.random(probs.shape) < 0.4
+        mask[0, np.argmin(probs[0])] = True
+        mask[np.arange(grid.frames), np.argmax(probs, axis=1)] = False
+        with np.errstate(divide="ignore"):
+            logp = np.log(np.where(mask, 0.0, probs))
+        grid = PosteriorGrid.renormalized("u", grid.alphabet, logp)
+        assert np.isneginf(grid.logp).any()
+    scorer = HashScorer(str(seed))
+    y = TargetText("xx", "ab")
+    for estimator, reference in ((skm_log_marginal, _reference_skm),
+                                 (sskm_log_marginal, _reference_sskm)):
+        got = estimator(grid, y, scorer, k, derive_rng(seed, "marginal"))
+        assert got == reference(grid, y, scorer, k, derive_rng(seed, "marginal"))

@@ -115,6 +115,23 @@ def test_load_rejects_malformed_inventory(tmp_path, trained_scorer):
         load_scorer(path)
 
 
+@pytest.mark.parametrize("unit", ["z", "<lid:xb>", "<bos>", ""])
+def test_load_rejects_counts_outside_inventory(tmp_path, unit):
+    """No row reads a count for a unit that is neither a lid token of the
+    scorer's languages, one of its units, nor the end marker, so the file
+    is malformed rather than silently scored at the floor."""
+    scorer = NGramScorer(order=2, smoothing_alpha=0.1, context_window=0,
+                         languages=("xa",), units=("a",),
+                         counts={((), (lid_token("xa"),)): {"a": 1, EOS: 2}})
+    path = tmp_path / "scorer.json"
+    save_scorer(scorer, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["counts"][0]["n"][unit] = 5
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="outside the scorer inventory"):
+        load_scorer(path)
+
+
 # ---- distributions ------------------------------------------------------
 
 
@@ -202,13 +219,6 @@ def test_generation_rejects_bad_args(trained_scorer):
         trained_scorer.generate_top_s(("a",), 0)
     with pytest.raises(ValueError):
         trained_scorer.generate_top_s(("a",), 2, max_len=-1)
-
-
-def test_predict_lid_recovers_language(trained_scorer, corpus):
-    _, manifest = corpus
-    hits = sum(trained_scorer.predict_lid(rec.phonemes) == rec.lang
-               for rec in manifest.records)
-    assert hits == len(manifest.records)  # disjoint phoneme inventories
 
 
 # ---- persistence --------------------------------------------------------
