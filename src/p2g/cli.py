@@ -252,12 +252,18 @@ def cmd_decode(args, cfg: RunConfig) -> int:
 def cmd_augment(args, cfg: RunConfig) -> int:
     pairs = _refs_with_grids(args, cfg)
     width = _beam_width(cfg, cfg.n_best)
+    # oversampled copies share their source's id and grid, so each grid's
+    # n-best is computed once and paired with every record's own text
+    beams: dict[str, list[ctc.ScoredHypothesis]] = {}
     lines = []
     for rec, grid in pairs:
-        lines.extend(data.generate_danp(grid, rec, cfg.n_best, beam_width=width,
+        if rec.utterance_id not in beams:
+            beams[rec.utterance_id] = ctc.prefix_beam_search(grid, width, cfg.n_best)
+        lines.extend(data.generate_danp(rec, beams[rec.utterance_id], grid.alphabet,
                                         include_clean=cfg.include_clean))
     data.save_training_lines(lines, _path(args, cfg, "out"))
-    log.info("augment: %d pairs from %d records", len(lines), len(pairs))
+    log.info("augment: %d pairs from %d records over %d grids", len(lines),
+             len(pairs), len(beams))
     return 0
 
 

@@ -185,18 +185,18 @@ def forward_logprob(grid: PosteriorGrid, h: Sequence[int]) -> float:
     if states > 2:
         allow_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
 
+    emit = lp[:, ext]
     alpha = np.full(states, LOG_ZERO)
-    alpha[0] = lp[0, BLANK]
-    if states > 1:
-        alpha[1] = lp[0, ext[1]]
+    alpha[:2] = emit[0, :2]
     for t in range(1, frames):
         prev = alpha
-        alpha = prev.copy()
-        alpha[1:] = np.logaddexp(alpha[1:], prev[:-1])
+        alpha = np.empty(states)
+        alpha[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=alpha[1:])
         if states > 2:
             skip = np.where(allow_skip[2:], prev[:-2], LOG_ZERO)
-            alpha[2:] = np.logaddexp(alpha[2:], skip)
-        alpha += lp[t, ext]
+            np.logaddexp(alpha[2:], skip, out=alpha[2:])
+        alpha += emit[t]
 
     total = float(alpha[-1])
     if states > 1:

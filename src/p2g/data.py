@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import ctc
-from .ctc import PosteriorGrid
+from .ctc import Alphabet, ScoredHypothesis
 from .ioutil import FormatError, atomic_write_lines, field, iter_jsonl, write_jsonl
 from .scorer import TargetText, lid_token
 
@@ -103,20 +102,17 @@ def parse_training_line(line: str) -> tuple[tuple[str, ...], TargetText]:
     return tokens, TargetText(lid=code, graphemes=graphemes)
 
 
-def generate_danp(grid: PosteriorGrid, record: UtteranceRecord, n_best: int,
-                  beam_width: int,
+def generate_danp(record: UtteranceRecord, hyps: Sequence[ScoredHypothesis],
+                  alphabet: Alphabet,
                   include_clean: bool = False) -> list[tuple[tuple[str, ...], TargetText]]:
-    """Noisy training pairs: the n-best phoneme hypotheses for the utterance,
-    each paired with the clean reference text, in beam-rank order.
+    """Noisy training pairs: the utterance's n-best phoneme hypotheses, in
+    beam-rank order, each paired with the record's own clean text.
 
-    ``include_clean`` appends the reference phonemes as one extra pair.
-    Returns fewer than n_best pairs when the grid supports fewer distinct
-    sequences.
+    The n-best depends only on the grid, so oversampled copies of a record
+    can share one ``prefix_beam_search`` result. ``include_clean`` appends
+    the record's reference phonemes as one extra pair.
     """
-    if n_best < 1:
-        raise ValueError("n_best must be >= 1")
-    hyps = ctc.prefix_beam_search(grid, beam_width, n_best)
-    pairs = [(grid.alphabet.to_symbols(h.sequence), record.text) for h in hyps]
+    pairs = [(alphabet.to_symbols(h.sequence), record.text) for h in hyps]
     if include_clean:
         pairs.append((record.phonemes, record.text))
     return pairs

@@ -267,13 +267,15 @@ def train_scorer(pairs: Sequence[tuple[Sequence[str], TargetText]], order: int =
     probe = NGramScorer(order=order, smoothing_alpha=smoothing_alpha,
                         context_window=context_window, languages=languages,
                         units=units, counts={})
+    # oversampled copies repeat whole pairs: walk each distinct pair once and
+    # add its multiplicity; first-occurrence order keeps the key order too
+    distinct = Counter((tuple(phonemes), text) for phonemes, text in pairs)
     counts: dict[StateKey, Counter] = defaultdict(Counter)
-    for phonemes, text in pairs:
-        phonemes = tuple(phonemes)
+    for (phonemes, text), m in distinct.items():
         stream = (lid_token(text.lid), *text.graphemes, EOS)
         for step, unit in enumerate(stream):
             key = probe._state_key(phonemes, step, stream[:step])
-            counts[key][unit] += 1
+            counts[key][unit] += m
     table = {key: dict(bucket) for key, bucket in counts.items()}
     return NGramScorer(order=order, smoothing_alpha=smoothing_alpha,
                        context_window=context_window, languages=languages,

@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import json
+import logging
 import runpy
 import sys
 from pathlib import Path
@@ -10,7 +12,15 @@ import p2g.ctc
 import p2g.data
 from p2g import cli, selftest, synth
 from p2g.ctc import save_grids
-from p2g.data import load_manifest, manifest_stats, save_manifest
+from p2g.data import (
+    CorpusManifest,
+    load_manifest,
+    load_training_lines,
+    manifest_stats,
+    save_manifest,
+    save_training_lines,
+)
+from p2g.scorer import TargetText
 from p2g.selftest import CHECKS
 
 
@@ -246,6 +256,73 @@ def test_balance_output_hits_target(workdir, tmp_path):
                      "--seed", "5"]) == 0
     for st in manifest_stats(load_manifest(out)).values():
         assert st.hours >= 0.02
+
+
+def _balanced_refs(workdir, tmp_path):
+    """The workdir manifest after ``balance``: originals plus copies that
+    share their source's id and grid."""
+    refs = tmp_path / "balanced.jsonl"
+    assert cli.main(["balance", "--in", str(workdir / "manifest.jsonl"),
+                     "--out", str(refs), "--target-hours", "0.02",
+                     "--seed", "5"]) == 0
+    records = load_manifest(refs).records
+    assert len({r.utterance_id for r in records}) < len(records)
+    return refs
+
+
+def _augment(workdir, refs, out, *extra):
+    return cli.main(["augment", "--grids", str(workdir / "grids.jsonl"),
+                     "--refs", str(refs), "--out", str(out), "--n-best", "4", *extra])
+
+
+@pytest.mark.parametrize("extra", [[], ["--include-clean"]])
+def test_augment_with_copies_matches_one_beam_per_record(workdir, tmp_path, extra):
+    refs = _balanced_refs(workdir, tmp_path)
+    out = tmp_path / "train.txt"
+    assert _augment(workdir, refs, out, *extra) == 0
+    grids = {g.utterance_id: g for g in p2g.ctc.load_grids(workdir / "grids.jsonl")}
+    pairs = []
+    for rec in load_manifest(refs).records:
+        grid = grids[rec.utterance_id]
+        for h in p2g.ctc.prefix_beam_search(grid, 16, 4):
+            pairs.append((grid.alphabet.to_symbols(h.sequence), rec.text))
+        if extra:
+            pairs.append((rec.phonemes, rec.text))
+    want = tmp_path / "want.txt"
+    save_training_lines(pairs, want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_augment_runs_one_beam_per_grid(workdir, tmp_path, monkeypatch, caplog):
+    refs = _balanced_refs(workdir, tmp_path)
+    records = load_manifest(refs).records
+    real = p2g.ctc.prefix_beam_search
+    beamed = []
+
+    def counting(grid, beam_width, k):
+        beamed.append(grid.utterance_id)
+        return real(grid, beam_width, k)
+
+    monkeypatch.setattr(p2g.ctc, "prefix_beam_search", counting)
+    caplog.set_level(logging.INFO, logger="p2g.cli")
+    assert _augment(workdir, refs, tmp_path / "train.txt") == 0
+    assert sorted(beamed) == sorted({r.utterance_id for r in records})
+    lines = (tmp_path / "train.txt").read_text(encoding="utf-8").splitlines()
+    assert (f"augment: {len(lines)} pairs from {len(records)} records "
+            f"over {len(beamed)} grids") in caplog.messages
+
+
+def test_augment_pairs_a_shared_grid_with_each_records_own_text(workdir, tmp_path):
+    first = load_manifest(workdir / "manifest.jsonl").records[0]
+    other = dataclasses.replace(first, text=TargetText(first.lang, "zz"), repeat=True)
+    refs = tmp_path / "refs.jsonl"
+    save_manifest(CorpusManifest(records=(first, other)), refs)
+    out = tmp_path / "train.txt"
+    assert _augment(workdir, refs, out, "--include-clean") == 0
+    pairs = load_training_lines(out)
+    half = len(pairs) // 2
+    assert [t for _, t in pairs] == [first.text] * half + [other.text] * half
+    assert [p for p, _ in pairs[:half]] == [p for p, _ in pairs[half:]]
 
 
 def test_score_epochs_without_resample_repeat_values(workdir, tmp_path):

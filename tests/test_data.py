@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2g import cli
+from p2g.ctc import prefix_beam_search, save_grids
 from p2g.data import (
     CorpusManifest,
     UtteranceRecord,
@@ -122,12 +124,15 @@ def test_training_lines_file_round_trip(tmp_path):
 # ---- danp ---------------------------------------------------------------
 
 
-def test_danp_pairs_noisy_hypotheses_with_clean_text(corpus, tiny_alphabet):
+def test_danp_pairs_noisy_hypotheses_with_clean_text(corpus):
     grids, manifest = corpus
     by_id = {g.utterance_id: g for g in grids}
     record = manifest.records[0]
-    pairs = generate_danp(by_id[record.utterance_id], record, n_best=4, beam_width=16)
+    grid = by_id[record.utterance_id]
+    hyps = prefix_beam_search(grid, 16, 4)
+    pairs = generate_danp(record, hyps, grid.alphabet)
     assert 1 <= len(pairs) <= 4
+    assert [ph for ph, _ in pairs] == [grid.alphabet.to_symbols(h.sequence) for h in hyps]
     assert all(text == record.text for _, text in pairs)
     assert len({ph for ph, _ in pairs}) == len(pairs)  # distinct hypotheses
 
@@ -136,15 +141,25 @@ def test_danp_include_clean_appends_reference(corpus):
     grids, manifest = corpus
     by_id = {g.utterance_id: g for g in grids}
     record = manifest.records[2]
-    pairs = generate_danp(by_id[record.utterance_id], record, n_best=2,
-                          beam_width=16, include_clean=True)
+    grid = by_id[record.utterance_id]
+    hyps = prefix_beam_search(grid, 16, 2)
+    pairs = generate_danp(record, hyps, grid.alphabet, include_clean=True)
+    assert len(pairs) == len(hyps) + 1
     assert pairs[-1] == (record.phonemes, record.text)
 
 
-def test_danp_rejects_bad_n_best(corpus):
+def test_danp_rejects_bad_n_best(corpus, tmp_path):
+    """The n-best size is checked where the beam runs: by the CLI option
+    and by prefix_beam_search itself."""
     grids, manifest = corpus
     with pytest.raises(ValueError):
-        generate_danp(grids[0], manifest.records[0], n_best=0, beam_width=16)
+        prefix_beam_search(grids[0], 16, 0)
+    save_grids(grids, tmp_path / "grids.jsonl")
+    save_manifest(manifest, tmp_path / "refs.jsonl")
+    assert cli.main(["augment", "--grids", str(tmp_path / "grids.jsonl"),
+                     "--refs", str(tmp_path / "refs.jsonl"),
+                     "--out", str(tmp_path / "train.txt"), "--n-best", "0"]) == 1
+    assert not (tmp_path / "train.txt").exists()
 
 
 # ---- oversampling -------------------------------------------------------

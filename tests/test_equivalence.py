@@ -14,6 +14,10 @@ threshold and ``heapq.nsmallest``; the reference grows one prefix and one
 label at a time in dicts and fully sorts every frame. ``skm_log_marginal``
 and ``sskm_log_marginal`` build weighted hypothesis lists for
 ``tkm_log_marginal``; the references write out each estimator's own sum.
+``forward_logprob`` gathers the emissions once and writes each frame's alpha
+through ``np.logaddexp(..., out=...)``; the reference copies alpha and
+indexes the emissions every frame. ``train_scorer`` walks each distinct pair
+once and adds its multiplicity; the reference counts pair by pair.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from collections import Counter
+import tempfile
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +45,15 @@ from p2g.ctc import (
 )
 from p2g.logmath import LOG_ZERO, log_add, log_sum
 from p2g.marginal import skm_log_marginal, sskm_log_marginal
-from p2g.scorer import BOS, EOS, NGramScorer, TargetText, lid_token, train_scorer
+from p2g.scorer import (
+    BOS,
+    EOS,
+    NGramScorer,
+    TargetText,
+    lid_token,
+    save_scorer,
+    train_scorer,
+)
 from p2g.seeding import derive_rng
 from p2g.selftest import HashScorer
 
@@ -362,3 +376,104 @@ def test_sampled_marginals_equal_their_own_sums(seed, k, zeros):
                                  (sskm_log_marginal, _reference_sskm)):
         got = estimator(grid, y, scorer, k, derive_rng(seed, "marginal"))
         assert got == reference(grid, y, scorer, k, derive_rng(seed, "marginal"))
+
+
+# ---- reference: forward recursion with a copied alpha per frame -----------
+
+
+def _reference_forward(grid, h):
+    lp = grid.logp
+    ext = np.empty(2 * len(h) + 1, dtype=np.int64)
+    ext[0::2] = BLANK
+    ext[1::2] = h
+    states = ext.shape[0]
+    allow_skip = np.zeros(states, dtype=bool)
+    if states > 2:
+        allow_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    alpha = np.full(states, LOG_ZERO)
+    alpha[0] = lp[0, BLANK]
+    if states > 1:
+        alpha[1] = lp[0, ext[1]]
+    for t in range(1, lp.shape[0]):
+        prev = alpha
+        alpha = prev.copy()
+        alpha[1:] = np.logaddexp(alpha[1:], prev[:-1])
+        if states > 2:
+            skip = np.where(allow_skip[2:], prev[:-2], LOG_ZERO)
+            alpha[2:] = np.logaddexp(alpha[2:], skip)
+        alpha += lp[t, ext]
+    total = float(alpha[-1])
+    if states > 1:
+        total = log_add(total, float(alpha[-2]))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       concentration=st.sampled_from([0.05, 0.5, 2.0]))
+def test_forward_logprob_equals_copied_alpha_recursion(seed, concentration):
+    """Sequences of length 0 to frames + 2 on one grid, so some are
+    unreachable; two symbols at most make repeated labels, and the skip
+    rule they switch off, common. A small concentration leaves -inf cells."""
+    rng = np.random.default_rng(seed)
+    grid = synth.random_grid(rng, max_frames=8, max_symbols=2,
+                             concentration=concentration)
+    symbols = grid.alphabet.size - 1
+    # n copies of one label need 2n - 1 frames, a blank between each pair
+    seqs = [(), (1,) * ((grid.frames + 1) // 2 + 1)]
+    for _ in range(6):
+        length = int(rng.integers(0, grid.frames + 3))
+        seqs.append(tuple(int(c) for c in rng.integers(1, symbols + 1, size=length)))
+    for h in seqs:
+        assert forward_logprob(grid, h) == _reference_forward(grid, h)
+    assert forward_logprob(grid, seqs[1]) == LOG_ZERO
+
+
+# ---- reference: train_scorer counting one pair at a time ------------------
+
+
+def _reference_train(pairs, order, alpha, window):
+    languages = tuple(sorted({text.lid for _, text in pairs}))
+    units = tuple(sorted({ch for _, text in pairs for ch in text.graphemes}))
+    probe = NGramScorer(order=order, smoothing_alpha=alpha, context_window=window,
+                        languages=languages, units=units, counts={})
+    counts = defaultdict(Counter)
+    for phonemes, text in pairs:
+        phonemes = tuple(phonemes)
+        stream = (lid_token(text.lid), *text.graphemes, EOS)
+        for step, unit in enumerate(stream):
+            counts[probe._state_key(phonemes, step, stream[:step])][unit] += 1
+    return NGramScorer(order=order, smoothing_alpha=alpha, context_window=window,
+                       languages=languages, units=units,
+                       counts={key: dict(bucket) for key, bucket in counts.items()})
+
+
+def _key_order(scorer):
+    return [(key, list(bucket)) for key, bucket in scorer.counts.items()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       order=st.integers(min_value=1, max_value=3),
+       window=st.integers(min_value=0, max_value=2))
+def test_train_scorer_counts_repeated_pairs_once(seed, order, window):
+    """Oversampled copies: a few distinct pairs, each repeated up to five
+    times, shuffled; phonemes come as lists or tuples."""
+    rnd = random.Random(seed)
+    distinct = []
+    for _ in range(rnd.randint(1, 6)):
+        ph = tuple(f"p{rnd.randint(0, 3)}" for _ in range(rnd.randint(0, 5)))
+        text = "".join(rnd.choice("abc") for _ in range(rnd.randint(0, 5)))
+        distinct.append((ph, TargetText(rnd.choice(["xa", "xb"]), text)))
+    pairs = [(list(ph) if rnd.random() < 0.5 else ph, text)
+             for ph, text in distinct for _ in range(rnd.randint(1, 5))]
+    rnd.shuffle(pairs)
+    got = train_scorer(pairs, order=order, smoothing_alpha=0.1, context_window=window)
+    want = _reference_train(pairs, order, 0.1, window)
+    assert got.counts == want.counts
+    assert _key_order(got) == _key_order(want)
+    assert (got.languages, got.units) == (want.languages, want.units)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_scorer(got, Path(tmp) / "got.json")
+        save_scorer(want, Path(tmp) / "want.json")
+        assert (Path(tmp) / "got.json").read_bytes() == (Path(tmp) / "want.json").read_bytes()
