@@ -170,6 +170,24 @@ def forward_logprob(grid: PosteriorGrid, h: Sequence[int]) -> float:
 
     Returns LOG_ZERO when ``h`` is unreachable (for instance longer than the
     frame count allows).
+
+    Frame t (0-based, of T; S = 2|h| + 1 states) is computed only over its
+    band ``lo <= s < hi``, and the states outside it are skipped exactly:
+
+    - ``hi = min(S, 2t + 2)``. A path advances at most two states per frame,
+      so every state from ``hi`` up is still LOG_ZERO.
+    - ``lo = max(0, S - 2(T - t))``. A state below it cannot reach state
+      S - 1 or S - 2 by the last frame, so it never feeds the total. The next
+      band starts two states higher and reads at most two states back, so it
+      reads only states computed at frame t.
+    - The skip from s - 2 is applied to label states (odd s >= 3) only,
+      through a 0 / LOG_ZERO mask that also blocks repeated labels. On any
+      other state it would be ``logaddexp(x, LOG_ZERO)``, which is ``x`` bit
+      for bit: ``x`` comes out of the first ``logaddexp``, never as -0.0.
+
+    Every state that feeds the total gets the same two ``logaddexp``s and
+    ``+`` in the same order as the full recursion over all S states, so the
+    result is bitwise the same.
     """
     seq = _checked_sequence(h, grid.alphabet)
     lp = grid.logp
@@ -181,22 +199,37 @@ def forward_logprob(grid: PosteriorGrid, h: Sequence[int]) -> float:
     ext[1::2] = seq
     states = ext.shape[0]
 
-    allow_skip = np.zeros(states, dtype=bool)
-    if states > 2:
-        allow_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    # added to alpha[s - 2] on label states s >= 3 only; its 0.0 turns -0.0
+    # into +0.0, which a logaddexp whose x is never -0.0 cannot tell apart
+    skip = np.full(states, LOG_ZERO)
+    skip[3::2][ext[3::2] != ext[1:-2:2]] = 0.0
 
     emit = lp[:, ext]
+    # two buffers in turn: a state is first written at the frame whose band
+    # reaches it, so above the band both hold LOG_ZERO; below it they hold
+    # stale values that no band reads
     alpha = np.full(states, LOG_ZERO)
+    prev = np.full(states, LOG_ZERO)
     alpha[:2] = emit[0, :2]
     for t in range(1, frames):
-        prev = alpha
-        alpha = np.empty(states)
-        alpha[0] = prev[0]
-        np.logaddexp(prev[1:], prev[:-1], out=alpha[1:])
-        if states > 2:
-            skip = np.where(allow_skip[2:], prev[:-2], LOG_ZERO)
-            np.logaddexp(alpha[2:], skip, out=alpha[2:])
-        alpha += emit[t]
+        prev, alpha = alpha, prev
+        # plain comparisons, not max/min: this runs once per frame per sequence
+        lo = states - 2 * (frames - t)
+        if lo < 0:
+            lo = 0
+        hi = 2 * t + 2
+        if hi > states:
+            hi = states
+        if lo == 0:
+            alpha[0] = prev[0]
+        one = lo or 1
+        np.logaddexp(prev[one:hi], prev[one - 1:hi - 1], alpha[one:hi])
+        first = lo if lo > 3 else 3
+        if first < hi:
+            label = alpha[first:hi:2]
+            np.logaddexp(label, prev[first - 2:hi - 2:2] + skip[first:hi:2], label)
+        band = alpha[lo:hi]
+        np.add(band, emit[t, lo:hi], band)
 
     total = float(alpha[-1])
     if states > 1:
@@ -282,16 +315,20 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
         # a member stays by a blank, or by repeating its last label; the
         # empty prefix's non-blank mass is LOG_ZERO, so it gets no repeat
         stay_b = total + row[BLANK]
-        stay_nb = (pnb + row[last]).tolist()
+        stay_nb = pnb + row[last]
         # a member whose parent is also a member absorbs the parent's
         # extension by its last label: at most one merge per member
         index = {p: i for i, p in enumerate(prefixes)}
         for j, p in enumerate(prefixes):
             i = index.get(p[:-1]) if p else None
             if i is not None:
-                stay_nb[j] = log_add(stay_nb[j], float(cand[i, p[-1]]))
+                stay_nb[j] = log_add(float(stay_nb[j]), float(cand[i, p[-1]]))
                 cand[i, p[-1]] = LOG_ZERO
-        cand[:, BLANK] = [log_add(b, nb) for b, nb in zip(stay_b.tolist(), stay_nb)]
+        # np.logaddexp is log_add bit for bit except on (-0.0, LOG_ZERO),
+        # where it gives +0.0. No mass is -0.0: each is built from the +0.0
+        # root by sums, which are -0.0 only if both terms are, and by
+        # log_adds, which return an input or add a log1p >= +0.0
+        np.logaddexp(stay_b, stay_nb, out=cand[:, BLANK])
 
         flat = cand.ravel()
         live = flat > LOG_ZERO
@@ -312,7 +349,7 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
         stays = label == BLANK
         total = flat[chosen]
         pb = np.where(stays, stay_b[src], LOG_ZERO)
-        pnb = np.where(stays, np.array(stay_nb)[src], total)
+        pnb = np.where(stays, stay_nb[src], total)
         last = np.where(stays, last[src], label)
 
     return [ScoredHypothesis(sequence=p, log_score=s)

@@ -14,9 +14,12 @@ threshold and ``heapq.nsmallest``; the reference grows one prefix and one
 label at a time in dicts and fully sorts every frame. ``skm_log_marginal``
 and ``sskm_log_marginal`` build weighted hypothesis lists for
 ``tkm_log_marginal``; the references write out each estimator's own sum.
-``forward_logprob`` gathers the emissions once and writes each frame's alpha
-through ``np.logaddexp(..., out=...)``; the reference copies alpha and
-indexes the emissions every frame. ``train_scorer`` walks each distinct pair
+``forward_logprob`` computes each frame over its reachable band of states in
+two alternating buffers, and skips from s - 2 on label states only; the
+reference copies alpha, indexes the emissions every frame and runs every
+state. The beam's blank merge is one ``np.logaddexp``, which differs from
+``log_add`` only on a -0.0 mass, so the beam cases include one-hot rows whose
+cell is -0.0. ``train_scorer`` walks each distinct pair
 once and adds its multiplicity; the reference counts pair by pair.
 """
 
@@ -39,6 +42,7 @@ from p2g.ctc import (
     BLANK,
     Alphabet,
     PosteriorGrid,
+    collapse,
     forward_logprob,
     prefix_beam_search,
     sample_k_hypotheses,
@@ -241,6 +245,21 @@ def test_generate_top_s_tie_at_cutoff_uses_text_order():
     assert got == [(TargetText("xa", "a"), math.log(0.5))]
 
 
+def _with_one_hot_rows(grid, rng, share):
+    """The grid with about ``share`` of its rows made certain: -0.0 on the
+    row's most likely cell, LOG_ZERO elsewhere."""
+    logp = grid.logp.copy()
+    for t in np.flatnonzero(rng.random(grid.frames) < share):
+        hot = int(np.argmax(logp[t]))
+        logp[t] = LOG_ZERO
+        logp[t, hot] = -0.0
+    return PosteriorGrid(grid.utterance_id, grid.alphabet, logp)
+
+
+def _same_float(got, want):
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 # ---- reference: full-sort prefix beam search ------------------------------
 
 
@@ -289,8 +308,10 @@ def _reference_beam(grid, beam_width, k):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        beam_width=st.integers(min_value=1, max_value=10),
-       uniform=st.booleans())
-def test_prefix_beam_search_equals_full_sort(seed, beam_width, uniform):
+       uniform=st.booleans(),
+       one_hot=st.sampled_from([0.0, 0.5, 1.0]))
+def test_prefix_beam_search_equals_full_sort(seed, beam_width, uniform, one_hot):
+    """``one_hot`` makes that share of the rows certain, with -0.0 cells."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, beam_width + 1))
     if uniform:
@@ -303,6 +324,7 @@ def test_prefix_beam_search_equals_full_sort(seed, beam_width, uniform):
         # a small concentration peaks rows and underflows cells to LOG_ZERO
         grid = synth.random_grid(rng, max_frames=10, max_symbols=5,
                                  concentration=float(rng.choice([0.1, 0.5, 2.0])))
+    grid = _with_one_hot_rows(grid, rng, one_hot)
     got = prefix_beam_search(grid, beam_width, k)
     want = _reference_beam(grid, beam_width, k)
     assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
@@ -311,13 +333,14 @@ def test_prefix_beam_search_equals_full_sort(seed, beam_width, uniform):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        beam_width=st.integers(min_value=1, max_value=64),
-       kind=st.sampled_from(["uniform", "sparse", "dirichlet"]),
+       kind=st.sampled_from(["uniform", "sparse", "dirichlet", "one-hot"]),
        full_k=st.booleans())
 def test_prefix_beam_search_equals_full_sort_at_bench_shapes(seed, beam_width, kind,
                                                               full_k):
     """Up to V = 40, 25 frames and width 64, the sizes where the array form
     prunes hardest: uniform rows tie at the cut-off, a concentration of
-    0.05-0.1 leaves zero cells, and k = width returns the whole beam."""
+    0.05-0.1 leaves zero cells, k = width returns the whole beam, and
+    one-hot rows hold -0.0 cells."""
     rng = np.random.default_rng(seed)
     k = beam_width if full_k else int(rng.integers(1, beam_width + 1))
     symbols = tuple(f"p{i}" for i in range(int(rng.integers(1, 41))))
@@ -329,6 +352,8 @@ def test_prefix_beam_search_equals_full_sort_at_bench_shapes(seed, beam_width, k
         concentration = float(rng.uniform(0.05, 0.1)) if kind == "sparse" else 1.0
         grid = synth.random_grid(rng, frames=frames, symbols=symbols,
                                  concentration=concentration)
+        if kind == "one-hot":
+            grid = _with_one_hot_rows(grid, rng, 0.5)
     got = prefix_beam_search(grid, beam_width, k)
     want = _reference_beam(grid, beam_width, k)
     assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
@@ -427,6 +452,38 @@ def test_forward_logprob_equals_copied_alpha_recursion(seed, concentration):
     for h in seqs:
         assert forward_logprob(grid, h) == _reference_forward(grid, h)
     assert forward_logprob(grid, seqs[1]) == LOG_ZERO
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       frames=st.integers(min_value=1, max_value=60),
+       symbols=st.sampled_from([1, 2, 3, 10, 100]),
+       one_hot=st.sampled_from([0.0, 0.3, 1.0]))
+def test_forward_logprob_band_equals_full_recursion(seed, frames, symbols, one_hot):
+    """Up to 60 frames and V = 100, with sequences of length 0 to frames + 2,
+    so S = 2|h| + 1 sits below, near and above T and both band edges cut
+    states. Rows are peaked on a reference of ``frames`` phonemes and cut to
+    ``frames`` rows; one symbol makes every label a repeat. ``one_hot``
+    makes that share of the rows certain, with -0.0 and LOG_ZERO cells; with
+    every row certain the most likely sequence scores a signed zero."""
+    rng = np.random.default_rng(seed)
+    alphabet = Alphabet(tuple(f"p{i}" for i in range(symbols)))
+    ref = tuple(alphabet.symbols[i] for i in rng.integers(0, symbols, size=frames))
+    peaked = synth.grid_for_phonemes(rng, alphabet, ref, "u")
+    grid = _with_one_hot_rows(PosteriorGrid("u", alphabet, peaked.logp[:frames]),
+                              rng, one_hot)
+    ref_ids = alphabet.to_indices(ref)
+    best = collapse(np.argmax(grid.logp, axis=1))
+    seqs = [(), best, best[:-1], ref_ids[:(frames + 1) // 2], ref_ids,
+            ref_ids + ref_ids[:2]]
+    for _ in range(6):
+        length = int(rng.integers(0, frames + 3))
+        if rng.random() < 0.5:
+            seqs.append(ref_ids[:length])
+        else:
+            seqs.append(tuple(int(c) for c in rng.integers(1, symbols + 1, size=length)))
+    for h in seqs:
+        assert _same_float(forward_logprob(grid, h), _reference_forward(grid, h))
 
 
 # ---- reference: train_scorer counting one pair at a time ------------------
