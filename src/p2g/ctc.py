@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ioutil import FormatError, field, iter_jsonl, write_jsonl
+from .ioutil import field, iter_jsonl, write_jsonl
 from .logmath import LOG_ZERO, log_add
 
 BLANK = 0
@@ -364,31 +364,25 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
     [blank] + symbols. A zero-probability cell is ``null``; the older
     non-standard ``-Infinity`` is read as well.
     """
-    grids = []
-    for line_no, obj in iter_jsonl(path):
-        utt_id = field(obj, "id", str, path=path, line_no=line_no)
-        symbols = field(obj, "symbols", list, path=path, line_no=line_no)
-        logp = field(obj, "logp", list, path=path, line_no=line_no)
-        if not all(isinstance(s, str) for s in symbols):
-            raise FormatError("field 'symbols' must be a list of strings",
-                              path=path, line_no=line_no)
+    def parse(obj: dict) -> PosteriorGrid:
+        utt_id = field(obj, "id", str)
+        alphabet = Alphabet(tuple(field(obj, "symbols", list, items=str)))
+        logp = field(obj, "logp", list)
         try:
-            alphabet = Alphabet(tuple(symbols))
             matrix = np.array(logp, dtype=np.float64)
-            if matrix.ndim == 2 and np.isnan(matrix).any():
-                # null became NaN; a NaN literal in the file stays NaN and
-                # is refused below
-                is_null = np.array([[v is None for v in row] for row in logp])
-                matrix[is_null] = LOG_ZERO
-            if renormalize:
-                grid = PosteriorGrid.renormalized(utt_id, alphabet, matrix)
-            else:
-                grid = PosteriorGrid(utt_id, alphabet, matrix)
-        except (TypeError, ValueError) as exc:
-            # TypeError: a cell that is neither a number nor null
-            raise FormatError(str(exc), path=path, line_no=line_no) from exc
-        grids.append(grid)
-    return grids
+        except TypeError as exc:
+            # a cell that is neither a number nor null
+            raise ValueError(str(exc)) from exc
+        if matrix.ndim == 2 and np.isnan(matrix).any():
+            # null became NaN; a NaN literal in the file stays NaN and
+            # is refused below
+            is_null = np.array([[v is None for v in row] for row in logp])
+            matrix[is_null] = LOG_ZERO
+        if renormalize:
+            return PosteriorGrid.renormalized(utt_id, alphabet, matrix)
+        return PosteriorGrid(utt_id, alphabet, matrix)
+
+    return list(iter_jsonl(path, parse))
 
 
 def save_grids(grids: Iterable[PosteriorGrid], path) -> None:

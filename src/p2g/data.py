@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ctc import Alphabet, ScoredHypothesis
-from .ioutil import FormatError, atomic_write_lines, field, iter_jsonl, write_jsonl
+from .ioutil import atomic_write_lines, field, iter_jsonl, located, write_jsonl
 from .scorer import TargetText, lid_token
 
 IPA_TAG = "<ipa>"
@@ -168,28 +168,21 @@ def manifest_stats(manifest: CorpusManifest) -> dict[str, LanguageStats]:
 def load_manifest(path) -> CorpusManifest:
     """Read a JSONL manifest of {"id", "lang", "dur_sec", "phonemes", "text"}
     rows; an optional boolean "repeat" marks oversampling copies."""
-    records = []
-    for line_no, obj in iter_jsonl(path):
-        utt_id = field(obj, "id", str, path=path, line_no=line_no)
-        lang = field(obj, "lang", str, path=path, line_no=line_no)
-        dur = field(obj, "dur_sec", (int, float), path=path, line_no=line_no)
-        phonemes = field(obj, "phonemes", list, path=path, line_no=line_no)
-        text = field(obj, "text", str, path=path, line_no=line_no)
-        if not all(isinstance(p, str) for p in phonemes):
-            raise FormatError("field 'phonemes' must be a list of strings",
-                              path=path, line_no=line_no)
+    def parse(obj: dict) -> UtteranceRecord:
+        utt_id = field(obj, "id", str)
+        lang = field(obj, "lang", str)
+        dur = field(obj, "dur_sec", (int, float))
+        phonemes = field(obj, "phonemes", list, items=str)
+        text = field(obj, "text", str)
         repeat = obj.get("repeat", False)
         if not isinstance(repeat, bool):
-            raise FormatError("field 'repeat' must be a boolean", path=path,
-                              line_no=line_no)
-        try:
-            records.append(UtteranceRecord(
-                utterance_id=utt_id, lang=lang, dur_sec=float(dur),
-                phonemes=tuple(phonemes), text=TargetText(lid=lang, graphemes=text),
-                repeat=repeat))
-        except ValueError as exc:
-            raise FormatError(str(exc), path=path, line_no=line_no) from exc
-    return CorpusManifest(records=tuple(records))
+            raise ValueError("field 'repeat' must be a boolean")
+        return UtteranceRecord(
+            utterance_id=utt_id, lang=lang, dur_sec=float(dur),
+            phonemes=tuple(phonemes), text=TargetText(lid=lang, graphemes=text),
+            repeat=repeat)
+
+    return CorpusManifest(records=tuple(iter_jsonl(path, parse)))
 
 
 def _record_obj(rec: UtteranceRecord) -> dict:
@@ -206,15 +199,12 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
 
 def load_training_lines(path) -> list[tuple[tuple[str, ...], TargetText]]:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, located(path):
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                pairs.append(parse_training_line(line))
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path, line_no=line_no) from exc
+            if line:
+                with located(path, line_no):
+                    pairs.append(parse_training_line(line))
     return pairs
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from . import ctc
 from .ctc import PosteriorGrid, ScoredHypothesis
-from .ioutil import FormatError, field, iter_jsonl, write_jsonl
+from .ioutil import field, iter_jsonl, write_jsonl
 from .logmath import LOG_ZERO, log_add
 from .marginal import hypothesis_weights
 from .scorer import ConditionalScorer, TargetText
@@ -85,16 +85,15 @@ def save_decode_results(items: Iterable[tuple[str, DecodeResult]], path) -> None
 
 def load_hypotheses(path) -> dict[str, TargetText]:
     """Read decode output back as {utterance id: best text}."""
-    out: dict[str, TargetText] = {}
-    for line_no, obj in iter_jsonl(path):
-        utt_id = field(obj, "id", str, path=path, line_no=line_no)
-        lid = field(obj, "lid", str, path=path, line_no=line_no)
-        text = field(obj, "text", str, path=path, line_no=line_no)
-        if utt_id in out:
-            raise FormatError(f"duplicate utterance id {utt_id!r}", path=path,
-                              line_no=line_no)
-        try:
-            out[utt_id] = TargetText(lid=lid, graphemes=text)
-        except ValueError as exc:
-            raise FormatError(str(exc), path=path, line_no=line_no) from exc
-    return out
+    seen: set[str] = set()
+
+    def parse(obj: dict) -> tuple[str, TargetText]:
+        utt_id = field(obj, "id", str)
+        lid = field(obj, "lid", str)
+        text = field(obj, "text", str)
+        if utt_id in seen:
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
+        seen.add(utt_id)
+        return utt_id, TargetText(lid=lid, graphemes=text)
+
+    return dict(iter_jsonl(path, parse))

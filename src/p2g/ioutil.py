@@ -1,5 +1,6 @@
-"""File helpers shared by the loaders and writers: JSON and line-delimited
-JSON, and atomic writes."""
+"""File helpers shared by the loaders and writers: strict JSON and JSONL, atomic
+writes, and the reader boundary, the one place where a loader's ``ValueError``
+becomes a ``FormatError`` that names the file and line."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+
+T = TypeVar("T")
 
 
 class FormatError(ValueError):
@@ -25,33 +28,61 @@ class FormatError(ValueError):
         super().__init__(loc + message)
 
 
-def iter_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, object) for every non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
+@contextmanager
+def located(path: str | os.PathLike, line_no: int | None = None) -> Iterator[None]:
+    """Turn a ``ValueError`` raised in the block into a ``FormatError`` at
+    ``path`` and ``line_no``; a ``FormatError`` passes through unchanged.
+
+    Invalid JSON with no ``line_no`` given is placed at the decoder's line.
+    An ``OverflowError`` is bad input too: a JSON integer too big for a float."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON ({exc.msg})", path=path,
+                          line_no=exc.lineno if line_no is None else line_no) from exc
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(str(exc), path=path, line_no=line_no) from exc
+
+
+def iter_jsonl(path: str | os.PathLike, parse: Callable[[dict], T]) -> Iterator[T]:
+    """Yield ``parse(obj)`` for the object on every non-blank line of a JSONL
+    file; a ``ValueError`` from the line or from ``parse`` names the line."""
+    with open(path, encoding="utf-8") as fh, located(path):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
+            with located(path, line_no):
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=path,
-                                  line_no=line_no) from exc
-            if not isinstance(obj, dict):
-                raise FormatError("expected a JSON object", path=path, line_no=line_no)
-            yield line_no, obj
+                if not isinstance(obj, dict):
+                    raise ValueError("expected a JSON object")
+                yield parse(obj)
 
 
-def field(obj: dict, key: str, kind: type | tuple[type, ...], *,
-          path: str | os.PathLike, line_no: int):
-    """Fetch a required, type-checked field from a decoded JSONL object."""
+def _is(value, kind: type | tuple[type, ...]) -> bool:
+    """isinstance, except that a bool is not an int unless bool is asked for."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def field(obj: dict, key: str, kind: type | tuple[type, ...],
+          items: type | tuple[type, ...] | None = None):
+    """Fetch a required, type-checked field from a decoded JSON object; with
+    ``items``, the field is a list and every element is checked as well."""
     if key not in obj:
-        raise FormatError(f"missing field {key!r}", path=path, line_no=line_no)
+        raise ValueError(f"missing field {key!r}")
     value = obj[key]
-    if isinstance(value, bool) and bool not in (kind if isinstance(kind, tuple) else (kind,)):
-        raise FormatError(f"field {key!r} has the wrong type", path=path, line_no=line_no)
-    if not isinstance(value, kind):
-        raise FormatError(f"field {key!r} has the wrong type", path=path, line_no=line_no)
+    if not _is(value, kind) or (items is not None
+                                and not all(_is(v, items) for v in value)):
+        raise ValueError(f"field {key!r} has the wrong type")
     return value
+
+
+def to_json(obj, indent: int | None = None) -> str:
+    """The one JSON encoder for output files: strict JSON, so a NaN or an
+    infinity raises ``ValueError``, with non-ASCII text kept as is."""
+    return json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=indent)
 
 
 @contextmanager
@@ -84,20 +115,16 @@ def atomic_write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
 
 
 def write_jsonl(path: str | os.PathLike, objs: Iterable) -> None:
-    """The one JSONL writer: each object as one line of ``json.dumps`` with
-    ``ensure_ascii=False``, written atomically."""
-    atomic_write_lines(path, (json.dumps(obj, ensure_ascii=False) for obj in objs))
+    """The one JSONL writer: each object as one ``to_json`` line, written
+    atomically."""
+    atomic_write_lines(path, (to_json(obj) for obj in objs))
 
 
 def read_json_object(path: str | os.PathLike, not_object: str) -> dict:
     """Parse a whole file as one JSON object; ``not_object`` is the error
     message when the document is valid JSON of another type."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON ({exc.msg})", path=path,
-                              line_no=exc.lineno) from exc
-    if not isinstance(obj, dict):
-        raise FormatError(not_object, path=path)
+    with open(path, encoding="utf-8") as fh, located(path):
+        obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(not_object)
     return obj

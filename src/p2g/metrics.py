@@ -9,12 +9,12 @@ only rounded for display.
 
 from __future__ import annotations
 
-import json
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .data import CorpusManifest
+from .ioutil import to_json
 from .scorer import TargetText
 
 
@@ -90,24 +90,18 @@ def evaluate(manifest: CorpusManifest, hypotheses: Mapping[str, TargetText]) -> 
     Every manifest record needs a hypothesis under its utterance id; extra
     hypotheses are ignored. Hours come from the manifest durations.
     """
-    wer_pairs: dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]] = {}
-    lid_pairs: dict[str, list[tuple[str, str]]] = {}
-    hours: dict[str, float] = {}
     for rec in manifest.records:
-        hyp = hypotheses.get(rec.utterance_id)
-        if hyp is None:
+        if rec.utterance_id not in hypotheses:
             raise ValueError(f"no hypothesis for utterance {rec.utterance_id!r}")
-        wer_pairs.setdefault(rec.lang, []).append(
-            (tokenize_words(rec.text.graphemes), tokenize_words(hyp.graphemes)))
-        lid_pairs.setdefault(rec.lang, []).append((rec.lang, hyp.lid))
-        hours[rec.lang] = hours.get(rec.lang, 0.0) + rec.dur_sec / 3600.0
-
-    per_lang = {
-        lang: LanguageEval(error_rate=error_rate(wer_pairs[lang]),
-                           lid_accuracy=lid_accuracy(lid_pairs[lang]),
-                           hours=hours[lang])
-        for lang in sorted(wer_pairs)
-    }
+    per_lang = {}
+    for lang, recs in sorted(manifest.by_language().items()):
+        pairs = [(rec.text, hypotheses[rec.utterance_id]) for rec in recs]
+        per_lang[lang] = LanguageEval(
+            error_rate=error_rate([(tokenize_words(ref.graphemes),
+                                    tokenize_words(hyp.graphemes)) for ref, hyp in pairs]),
+            lid_accuracy=lid_accuracy([(ref.lid, hyp.lid) for ref, hyp in pairs]),
+            hours=sum(rec.dur_sec / 3600.0 for rec in recs))
+    hours = {lang: e.hours for lang, e in per_lang.items()}
     wer_macro, wer_weighted = aggregate(
         {l: e.error_rate for l, e in per_lang.items()}, hours)
     lid_macro, lid_weighted = aggregate(
@@ -118,18 +112,7 @@ def evaluate(manifest: CorpusManifest, hypotheses: Mapping[str, TargetText]) -> 
 
 
 def report_to_json(report: EvalReport) -> str:
-    obj = {
-        "metric": report.metric,
-        "languages": {lang: {"error_rate": e.error_rate,
-                             "lid_accuracy": e.lid_accuracy,
-                             "hours": e.hours}
-                      for lang, e in report.languages.items()},
-        "macro_avg": report.macro_avg,
-        "hours_weighted_avg": report.hours_weighted_avg,
-        "lid_macro_avg": report.lid_macro_avg,
-        "lid_hours_weighted_avg": report.lid_hours_weighted_avg,
-    }
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    return to_json(asdict(report), indent=2) + "\n"
 
 
 def render_report(report: EvalReport) -> str:

@@ -15,7 +15,6 @@ The same machinery stands in for any autoregressive text model with a
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import re
 from collections import Counter, defaultdict
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from itertools import filterfalse, islice
 from typing import Protocol, Sequence
 
-from .ioutil import FormatError, atomic_write_text, read_json_object
+from .ioutil import atomic_write_text, field, located, read_json_object, to_json
 
 EOS = "<eos>"
 BOS = "<bos>"
@@ -75,8 +74,9 @@ class NGramScorer:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.smoothing_alpha <= 0:
-            raise ValueError("smoothing_alpha must be positive")
+        # NaN fails every comparison, so the range test rejects it too
+        if not 0 < self.smoothing_alpha < math.inf:
+            raise ValueError("smoothing_alpha must be finite and positive")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
         if not self.languages:
@@ -87,6 +87,9 @@ class NGramScorer:
             raise ValueError("duplicate unit in scorer inventory")
         if any(len(unit) != 1 for unit in self.units):
             raise ValueError("every scorer unit must be one character")
+        if not all(type(n) is int and n >= 0
+                   for bucket in self.counts.values() for n in bucket.values()):
+            raise ValueError("every count must be an integer >= 0")
         lids = tuple(lid_token(c) for c in self.languages)
         cand_sets = (frozenset(lids), frozenset(self.units + (EOS,)))
         # no row reads a count outside both candidate sets, so it would be lost
@@ -299,26 +302,26 @@ def save_scorer(scorer: NGramScorer, path) -> None:
         "units": list(scorer.units),
         "counts": entries,
     }
-    atomic_write_text(path, json.dumps(payload, ensure_ascii=False) + "\n")
+    atomic_write_text(path, to_json(payload) + "\n")
 
 
 def load_scorer(path) -> NGramScorer:
+    """Read a ``save_scorer`` file. Every field is type-checked as stored,
+    never coerced; the scorer's own invariants do the rest."""
     payload = read_json_object(path, "not a scorer file")
-    if payload.get("format") != SCORER_FORMAT:
-        raise FormatError("not a scorer file", path=path)
-    if payload.get("version") != SCORER_VERSION:
-        raise FormatError(f"unsupported scorer version {payload.get('version')!r}",
-                          path=path)
-    try:
+    with located(path):
+        if payload.get("format") != SCORER_FORMAT:
+            raise ValueError("not a scorer file")
+        if payload.get("version") != SCORER_VERSION:
+            raise ValueError(f"unsupported scorer version {payload.get('version')!r}")
         counts: dict[StateKey, dict[str, int]] = {}
-        for entry in payload["counts"]:
-            key = (tuple(entry["ctx"]), tuple(entry["hist"]))
-            counts[key] = {str(u): int(n) for u, n in entry["n"].items()}
-        return NGramScorer(order=int(payload["order"]),
-                           smoothing_alpha=float(payload["smoothing_alpha"]),
-                           context_window=int(payload["context_window"]),
-                           languages=tuple(payload["languages"]),
-                           units=tuple(payload["units"]),
+        for entry in field(payload, "counts", list, items=dict):
+            key = (tuple(field(entry, "ctx", list, items=str)),
+                   tuple(field(entry, "hist", list, items=str)))
+            counts[key] = field(entry, "n", dict)
+        return NGramScorer(order=field(payload, "order", int),
+                           smoothing_alpha=field(payload, "smoothing_alpha", (int, float)),
+                           context_window=field(payload, "context_window", int),
+                           languages=tuple(field(payload, "languages", list, items=str)),
+                           units=tuple(field(payload, "units", list, items=str)),
                            counts=counts)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed scorer payload: {exc}", path=path) from exc

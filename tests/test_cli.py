@@ -160,6 +160,37 @@ def test_malformed_input_reports_line_and_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _first_lines(path, n=2):
+    return path.read_text(encoding="utf-8").splitlines()[:n]
+
+
+@pytest.mark.parametrize("reader", ["grids", "manifest", "hyps", "training"])
+def test_every_line_reader_locates_a_bad_record(workdir, tmp_path, capsys, reader):
+    """A bad record on line 3 of any line-oriented input exits 2 and names
+    the file and line, whichever check refuses it."""
+    bad = tmp_path / "bad"
+    out = str(tmp_path / "out")
+    if reader == "grids":
+        lines = _first_lines(workdir / "grids.jsonl") + [
+            '{"id": "u", "symbols": ["a"], "logp": [[0.0, "x"]]}']
+        argv = ["beam", "--in", str(bad), "--out", out]
+    elif reader == "manifest":
+        lines = _first_lines(workdir / "manifest.jsonl") + [json.dumps(
+            {"id": "u", "lang": "xx", "dur_sec": -1.0, "phonemes": [], "text": ""})]
+        argv = ["balance", "--in", str(bad), "--out", out, "--seed", "1"]
+    elif reader == "hyps":
+        row = json.dumps({"id": "u1", "lid": "xx", "text": "t"})
+        lines = [row, json.dumps({"id": "u2", "lid": "xx", "text": "t"}), row]
+        argv = ["eval", "--refs", str(workdir / "manifest.jsonl"),
+                "--hyps", str(bad), "--out", out]
+    else:
+        lines = _first_lines(workdir / "train.txt") + ["<ipa> a b <lid:xx> ab"]
+        argv = ["train-scorer", "--in", str(bad), "--out", out]
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(argv) == 2
+    assert f"{bad}, line 3" in capsys.readouterr().err
+
+
 def test_randomized_commands_require_seed(workdir, tmp_path, capsys):
     code = cli.main(["sample", "--in", str(workdir / "grids.jsonl"),
                      "--out", str(tmp_path / "s.jsonl"), "--k", "2"])
@@ -351,9 +382,41 @@ def test_score_resample_draws_fresh_each_epoch(workdir, tmp_path):
     assert first != second
 
 
-def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsys):
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+    return edit
+
+
+def _set_first_count(value):
+    def edit(payload):
+        bucket = payload["counts"][0]["n"]
+        bucket[next(iter(bucket))] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, expect", [
+    (lambda p: p["languages"].append(p["languages"][0]), "duplicate language"),
+    (_set("smoothing_alpha", float("nan")), "smoothing_alpha"),
+    (_set("smoothing_alpha", float("inf")), "smoothing_alpha"),
+    (_set_first_count(-3), "count"),
+    (_set_first_count(2.7), "count"),
+    (_set("order", 2.9), "'order'"),
+    (_set("order", "2"), "'order'"),
+    (_set("order", True), "'order'"),
+    (lambda p: p.update(units="".join(p["units"])), "'units'"),
+    (lambda p: p["counts"].append(["ctx", "hist"]), "'counts'"),
+], ids=["duplicate-language", "alpha-nan", "alpha-infinity", "count-negative",
+        "count-fraction", "order-fraction", "order-string", "order-bool",
+        "units-string", "counts-entry-not-object"])
+def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsys,
+                                                        edit, expect):
+    """Scorer-file fields are type-checked, never coerced, and the scorer's
+    invariants reject a NaN or infinite alpha and a count that is not a
+    non-negative integer: each is a located input error, not a crash or a
+    silently different model."""
     payload = json.loads((workdir / "scorer.json").read_text(encoding="utf-8"))
-    payload["languages"].append(payload["languages"][0])
+    edit(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload), encoding="utf-8")
     out = tmp_path / "decoded.jsonl"
@@ -361,8 +424,8 @@ def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsy
                      "--scorer", str(bad), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and "duplicate language" in err
-    assert not out.exists()
+    assert str(bad) in err and expect in err
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def test_decode_with_counts_outside_scorer_inventory_exits_2(workdir, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from p2g.ioutil import FormatError
 from p2g.scorer import (
+    BOS,
     EOS,
     NGramScorer,
     TargetText,
@@ -103,6 +104,32 @@ def test_malformed_inventory_rejected(languages, units):
     with pytest.raises(ValueError):
         NGramScorer(order=2, smoothing_alpha=0.1, context_window=1,
                     languages=languages, units=units, counts={})
+
+
+@pytest.mark.parametrize("alpha, count", [
+    (math.nan, 1), (math.inf, 1), (0.0, 1), (0.1, -1), (0.1, 1.0), (0.1, True),
+])
+def test_scorer_rejects_bad_alpha_or_count(alpha, count):
+    """The invariants hold however a scorer is built, trained or loaded: a
+    NaN alpha would make every score NaN, and a count must be an int >= 0."""
+    with pytest.raises(ValueError):
+        NGramScorer(order=2, smoothing_alpha=alpha, context_window=0,
+                    languages=("xa",), units=("a",),
+                    counts={((), (BOS,)): {lid_token("xa"): count}})
+
+
+def test_integer_alpha_round_trips_as_stored(tmp_path):
+    """Load checks types and converts nothing, so a scorer trained with an
+    integer alpha reloads equal, scores the same and saves the same bytes."""
+    scorer, pairs = small_scorer(alpha=1)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_scorer(scorer, p1)
+    back = load_scorer(p1)
+    assert back == scorer
+    assert [back.log_score(t, ph) for ph, t in pairs] == \
+        [scorer.log_score(t, ph) for ph, t in pairs]
+    save_scorer(back, p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_load_rejects_malformed_inventory(tmp_path, trained_scorer):
