@@ -44,28 +44,24 @@ class Alphabet:
                 raise ValueError(f"duplicate phoneme symbol {sym!r}")
             seen.add(sym)
         object.__setattr__(self, "_index", {s: i + 1 for i, s in enumerate(symbols)})
+        object.__setattr__(self, "_symbol", dict(enumerate(symbols, start=1)))
 
     @property
     def size(self) -> int:
         """Width of a grid row: V + 1."""
         return len(self.symbols) + 1
 
-    def symbol(self, index: int) -> str:
-        if not 1 <= int(index) <= len(self.symbols):
-            raise ValueError(f"index {index} is not a phoneme index")
-        return self.symbols[int(index) - 1]
-
     def to_symbols(self, seq: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.symbol(i) for i in seq)
+        try:  # keyed by index, so 0 and negative indices miss rather than wrap
+            return tuple(map(self._symbol.__getitem__, seq))  # type: ignore[attr-defined]
+        except KeyError as exc:
+            raise ValueError(f"index {exc.args[0]} is not a phoneme index") from None
 
     def to_indices(self, tokens: Iterable[str]) -> PhonemeSequence:
-        index: dict[str, int] = self._index  # type: ignore[attr-defined]
-        out = []
-        for tok in tokens:
-            if tok not in index:
-                raise ValueError(f"unknown phoneme symbol {tok!r}")
-            out.append(index[tok])
-        return tuple(out)
+        try:
+            return tuple(map(self._index.__getitem__, tokens))  # type: ignore[attr-defined]
+        except KeyError as exc:
+            raise ValueError(f"unknown phoneme symbol {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -198,13 +198,15 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
 
 
 def load_training_lines(path) -> list[tuple[tuple[str, ...], TargetText]]:
-    pairs = []
+    pairs, parsed = [], {}  # oversampled copies repeat lines: parse each once
     with open(path, encoding="utf-8") as fh, located(path):
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line:
-                with located(path, line_no):
-                    pairs.append(parse_training_line(line))
+                if line not in parsed:
+                    with located(path, line_no):
+                        parsed[line] = parse_training_line(line)
+                pairs.append(parsed[line])
     return pairs
 
 

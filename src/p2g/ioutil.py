@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -60,23 +61,30 @@ def iter_jsonl(path: str | os.PathLike, parse: Callable[[dict], T]) -> Iterator[
                 yield parse(obj)
 
 
-def _is(value, kind: type | tuple[type, ...]) -> bool:
-    """isinstance, except that a bool is not an int unless bool is asked for."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
-
-
-def field(obj: dict, key: str, kind: type | tuple[type, ...],
-          items: type | tuple[type, ...] | None = None):
-    """Fetch a required, type-checked field from a decoded JSON object; with
-    ``items``, the field is a list and every element is checked as well."""
+def field(obj: dict, key: str, kind: type | tuple[type, ...], items: type | None = None):
+    """Fetch a required field from a decoded JSON object and check its exact
+    type, and with ``items`` that of every list element, in one pass. JSON
+    values have exact types, so a bool is never taken for an int."""
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     value = obj[key]
-    if not _is(value, kind) or (items is not None
-                                and not all(_is(v, items) for v in value)):
+    if not (type(value) in (kind if isinstance(kind, tuple) else (kind,))
+            and (items is None or set(map(type, value)) <= {items})):
         raise ValueError(f"field {key!r} has the wrong type")
     return value
+
+
+def fields(objs: Iterable[dict], key: str, kind: type, items: type | None = None) -> list:
+    """``field`` of every one of ``objs`` as one column: one type pass over
+    all the values, and with ``items`` one more over all their elements."""
+    try:
+        values = [obj[key] for obj in objs]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+    if not (set(map(type, values)) <= {kind}
+            and (items is None or set(map(type, chain.from_iterable(values))) <= {items})):
+        raise ValueError(f"field {key!r} has the wrong type")
+    return values
 
 
 def to_json(obj, indent: int | None = None) -> str:

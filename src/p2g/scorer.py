@@ -19,10 +19,12 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import filterfalse, islice
-from typing import Protocol, Sequence
+from functools import reduce
+from itertools import chain, filterfalse, islice, repeat
+from operator import add
+from typing import Iterator, Protocol, Sequence
 
-from .ioutil import atomic_write_text, field, located, read_json_object, to_json
+from .ioutil import atomic_write_text, field, fields, located, read_json_object, to_json
 
 EOS = "<eos>"
 BOS = "<bos>"
@@ -87,8 +89,8 @@ class NGramScorer:
             raise ValueError("duplicate unit in scorer inventory")
         if any(len(unit) != 1 for unit in self.units):
             raise ValueError("every scorer unit must be one character")
-        if not all(type(n) is int and n >= 0
-                   for bucket in self.counts.values() for n in bucket.values()):
+        ns = list(chain.from_iterable(map(dict.values, self.counts.values())))
+        if not set(map(type, ns)) <= {int} or min(ns, default=0) < 0:  # a bool is no int
             raise ValueError("every count must be an integer >= 0")
         lids = tuple(lid_token(c) for c in self.languages)
         cand_sets = (frozenset(lids), frozenset(self.units + (EOS,)))
@@ -126,6 +128,22 @@ class NGramScorer:
             hist = (BOS,) * (need - len(hist)) + hist
         return ctx, hist
 
+    def _windows(self, phonemes: Sequence[str]) -> list[tuple[str, ...]]:
+        """The phoneme window of steps 0, 1, ...; steps past the end read the last.
+        Step 0 reads the head window, step s >= 1 that of phoneme s - 1."""
+        phonemes, w = tuple(phonemes), self.context_window
+        wins = [phonemes[pos - w if pos > w else 0:pos + w + 1]
+                for pos in range(len(phonemes))] or [()]
+        return wins[:1] + wins
+
+    def _keys(self, phonemes: Sequence[str], stream: Sequence[str]) -> Iterator[StateKey]:
+        """``_state_key(phonemes, step, stream[:step])`` of every step, from the
+        ``_windows`` and the shifted copies of the once-padded stream."""
+        wins, need = self._windows(phonemes), self.order - 1
+        padded = (BOS,) * need + tuple(stream[:-1])
+        hists = zip(*(padded[i:] for i in range(need))) if need else repeat((), len(stream))
+        return zip(chain(wins, repeat(wins[-1])), hists)
+
     def _row(self, key: StateKey, step: int) -> tuple[float, dict[str, float]]:
         """The smoothed step distribution at ``key``, the one definition of it.
 
@@ -149,10 +167,6 @@ class NGramScorer:
             row = rows[key] = (math.log(alpha / denom), seen)
         return row
 
-    def _step_log_prob(self, key: StateKey, step: int, unit: str) -> float:
-        floor, seen = self._row(key, step)
-        return seen.get(unit, floor)
-
     # ---- scoring -------------------------------------------------------
 
     def step_log_probs(self, y: TargetText, phonemes: Sequence[str]) -> list[float]:
@@ -163,20 +177,18 @@ class NGramScorer:
         cannot be scored."""
         if y.lid not in self.languages:
             raise ValueError(f"unknown language {y.lid!r}")
-        phonemes = tuple(phonemes)
         stream = (lid_token(y.lid), *y.graphemes, EOS)
-        out = []
-        for step, unit in enumerate(stream):
-            key = self._state_key(phonemes, step, stream[:step])
-            out.append(self._step_log_prob(key, step, unit))
-        return out
+        keys = self._keys(phonemes, stream)
+        floor, seen = self._row(next(keys), 0)
+        # a built row is one memo lookup; a miss (no counts, or not built yet) goes to _row
+        memo = self._rows[1]  # type: ignore[attr-defined]
+        return [seen.get(stream[0], floor)] + [
+            (row := memo.get(key) or self._row(key, 1))[1].get(unit, row[0])
+            for key, unit in zip(keys, stream[1:])]
 
     def log_score(self, y: TargetText, phonemes: Sequence[str]) -> float:
         """log p(y.lid, y.graphemes, eos | phonemes); always finite and <= 0."""
-        total = 0.0
-        for value in self.step_log_probs(y, phonemes):
-            total += value
-        return total
+        return reduce(add, self.step_log_probs(y, phonemes), 0.0)  # left to right
 
     # ---- generation ----------------------------------------------------
 
@@ -219,7 +231,7 @@ class NGramScorer:
             raise ValueError("s must be >= 1")
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        phonemes = tuple(phonemes)
+        wins, pad = self._windows(phonemes), (BOS,) * (self.order - 1)
         width = beam_width if beam_width is not None else max(2 * s, 8)
         if width < 1:
             raise ValueError("beam_width must be >= 1")
@@ -233,10 +245,15 @@ class NGramScorer:
             cutoff = completed[-1][0] if len(completed) == s else math.inf
             if layer[0][0] > cutoff:
                 break
-            order = self._sorted[0 if step == 0 else 1]  # type: ignore[attr-defined]
+            which = 0 if step == 0 else 1
+            order, memo = self._sorted[which], self._rows[which]  # type: ignore[attr-defined]
+            # every entry of a level shares the window; pad + stream holds
+            # order - 1 + step units, so its history is the slice from step
+            ctx = wins[min(step, len(wins) - 1)]
             grown: list[tuple[float, tuple[str, ...], str]] = []
             for neg, stream in layer:
-                floor, seen = self._row(self._state_key(phonemes, step, stream), step)
+                key = (ctx, (pad + stream)[step:])
+                floor, seen = memo.get(key) or self._row(key, step)
                 if step:
                     done = neg - seen.get(EOS, floor)
                     if done <= cutoff:
@@ -276,8 +293,7 @@ def train_scorer(pairs: Sequence[tuple[Sequence[str], TargetText]], order: int =
     counts: dict[StateKey, Counter] = defaultdict(Counter)
     for (phonemes, text), m in distinct.items():
         stream = (lid_token(text.lid), *text.graphemes, EOS)
-        for step, unit in enumerate(stream):
-            key = probe._state_key(phonemes, step, stream[:step])
+        for key, unit in zip(probe._keys(phonemes, stream), stream):
             counts[key][unit] += m
     table = {key: dict(bucket) for key, bucket in counts.items()}
     return NGramScorer(order=order, smoothing_alpha=smoothing_alpha,
@@ -312,13 +328,14 @@ def load_scorer(path) -> NGramScorer:
     with located(path):
         if payload.get("format") != SCORER_FORMAT:
             raise ValueError("not a scorer file")
-        if payload.get("version") != SCORER_VERSION:
-            raise ValueError(f"unsupported scorer version {payload.get('version')!r}")
-        counts: dict[StateKey, dict[str, int]] = {}
-        for entry in field(payload, "counts", list, items=dict):
-            key = (tuple(field(entry, "ctx", list, items=str)),
-                   tuple(field(entry, "hist", list, items=str)))
-            counts[key] = field(entry, "n", dict)
+        if (version := field(payload, "version", int)) != SCORER_VERSION:
+            raise ValueError(f"unsupported scorer version {version!r}")
+        entries = field(payload, "counts", list, items=dict)
+        keys = zip(map(tuple, fields(entries, "ctx", list, items=str)),
+                   map(tuple, fields(entries, "hist", list, items=str)))
+        counts = dict(zip(keys, fields(entries, "n", dict)))
+        if len(counts) != len(entries):
+            raise ValueError("duplicate counts key (ctx, hist)")
         return NGramScorer(order=field(payload, "order", int),
                            smoothing_alpha=field(payload, "smoothing_alpha", (int, float)),
                            context_window=field(payload, "context_window", int),

@@ -36,6 +36,20 @@ def test_alphabet_basics(tiny_alphabet):
     assert tiny_alphabet.to_indices(("a", "b")) == (1, 2)
 
 
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_to_symbols_rejects_what_is_not_a_phoneme_index(tiny_alphabet, index):
+    """0 is the blank and V + 1 is past the end; a lookup by position in the
+    symbol tuple would wrap -1 to the last symbol."""
+    with pytest.raises(ValueError, match=f"index {index} is not a phoneme index"):
+        tiny_alphabet.to_symbols((1, index))
+
+
+def test_to_symbols_takes_numpy_integers(tiny_alphabet):
+    seq = np.array([2, 1, 2], dtype=np.int64)
+    assert tiny_alphabet.to_symbols(seq) == tiny_alphabet.to_symbols((2, 1, 2)) == ("b", "a", "b")
+    assert tiny_alphabet.to_symbols(tuple(seq)) == ("b", "a", "b")
+
+
 def test_alphabet_rejects_duplicates_and_empty_symbols():
     with pytest.raises(ValueError):
         Alphabet(("a", "a"))

@@ -21,6 +21,10 @@ state. The beam's blank merge is one ``np.logaddexp``, which differs from
 ``log_add`` only on a -0.0 mass, so the beam cases include one-hot rows whose
 cell is -0.0. ``train_scorer`` walks each distinct pair
 once and adds its multiplicity; the reference counts pair by pair.
+``log_score``, ``step_log_probs`` and ``train_scorer`` take every step's
+state key from one ``_keys`` walk, and ``generate_top_s`` takes each level's
+window from the same ``_windows``; the reference is ``_state_key`` called
+step by step.
 """
 
 from __future__ import annotations
@@ -534,3 +538,55 @@ def test_train_scorer_counts_repeated_pairs_once(seed, order, window):
         save_scorer(got, Path(tmp) / "got.json")
         save_scorer(want, Path(tmp) / "want.json")
         assert (Path(tmp) / "got.json").read_bytes() == (Path(tmp) / "want.json").read_bytes()
+
+
+# ---- the flat state-key walk against _state_key ---------------------------
+
+
+def _phones(rnd, pool, most):
+    return tuple(rnd.choice(pool) for _ in range(rnd.randint(0, most)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       order=st.integers(min_value=1, max_value=4),
+       window=st.integers(min_value=0, max_value=2))
+def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
+    """``log_score``, ``step_log_probs``, ``train_scorer`` and ``generate_top_s``
+    walk state keys from ``_windows`` and read memo rows inline; the reference calls
+    ``_row(_state_key(phonemes, step, stream[:step]), step)`` step by step on
+    a separately trained copy (its own memo) and sums left to right. Phonemes
+    may be empty, texts run past the phoneme sequence, and scored inputs use
+    phonemes and letters never counted, so many keys have no counts."""
+    rnd = random.Random(seed)
+    alpha = rnd.choice([1e-30, 0.05, 0.5, 1])
+    pairs = [(_phones(rnd, ["p0", "p1", "p2"], 5),
+              TargetText(rnd.choice(["xa", "xb"]),
+                         "".join(rnd.choices("abc", k=rnd.randint(0, 8)))))
+             for _ in range(rnd.randint(1, 8))]
+    scorer = train_scorer(pairs, order=order, smoothing_alpha=alpha, context_window=window)
+    ref = _reference_train(pairs, order, alpha, window)
+    assert scorer.counts == ref.counts and _key_order(scorer) == _key_order(ref)
+    for _ in range(6):
+        phonemes = _phones(rnd, ["p0", "p1", "p2", "p3", "p4"], 6)
+        n = len(phonemes) + rnd.randint(0, 4) if rnd.random() < 0.5 else rnd.randint(0, 3)
+        y = TargetText(rnd.choice(scorer.languages), "".join(rnd.choices("abcz", k=n)))
+        stream = (lid_token(y.lid), *y.graphemes, EOS)
+        keys = [ref._state_key(phonemes, step, stream[:step]) for step in range(len(stream))]
+        want = []
+        for step, (key, unit) in enumerate(zip(keys, stream)):
+            floor, seen = ref._row(key, step)
+            want.append(seen.get(unit, floor))
+        total = 0.0
+        for value in want:
+            total += value
+        assert list(scorer._keys(list(phonemes), stream)) == keys
+        for _ in range(2):  # rows built, then read from the memo
+            assert [float.hex(v) for v in scorer.step_log_probs(y, phonemes)] == \
+                [float.hex(v) for v in want]
+            assert float.hex(scorer.log_score(y, phonemes)) == float.hex(total)
+        assert scorer.generate_top_s(phonemes, 2, max_len=n, beam_width=3) == \
+            _reference_generate(ref, phonemes, 2, n, 3)
+    # every key without counts shares one row, so the memo holds no such key
+    for rows in scorer._rows:  # type: ignore[attr-defined]
+        assert set(rows) <= set(scorer.counts) | {None}

@@ -175,9 +175,8 @@ def test_later_steps_form_sub_distribution():
     ph = ("k", "a", "t")
     for prefix in ("", "k", "ka", "zz"):
         step = len(prefix) + 1
-        key = sc._state_key(ph, step, (lid_token("xx"), *prefix))
-        total = sum(math.exp(sc._step_log_prob(key, step, u))
-                    for u in sc.units + (EOS,))
+        floor, seen = sc._row(sc._state_key(ph, step, (lid_token("xx"), *prefix)), step)
+        total = sum(math.exp(seen.get(u, floor)) for u in sc.units + (EOS,))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -283,6 +282,62 @@ def test_load_rejects_bad_json(tmp_path):
     p.write_text("{", encoding="utf-8")
     with pytest.raises(FormatError):
         load_scorer(p)
+
+
+def _edited_scorer_file(tmp_path, edit):
+    scorer, _ = small_scorer()
+    path = tmp_path / "scorer.json"
+    save_scorer(scorer, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def test_load_rejects_two_counts_entries_with_one_key(tmp_path):
+    """A repeated (ctx, hist) would otherwise keep the last entry's counts
+    and drop the first's without a word."""
+    def repeat_first(payload):
+        first = payload["counts"][0]
+        payload["counts"].append({"ctx": first["ctx"], "hist": first["hist"],
+                                  "n": {u: 99 for u in first["n"]}})
+    path = _edited_scorer_file(tmp_path, repeat_first)
+    with pytest.raises(FormatError, match="duplicate counts key") as info:
+        load_scorer(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_load_rejects_a_version_that_is_not_an_integer(tmp_path, version):
+    """``True == 1 == 1.0``, so a plain comparison would take these as
+    version 1."""
+    path = _edited_scorer_file(tmp_path, lambda p: p.update(version=version))
+    with pytest.raises(FormatError, match="'version'"):
+        load_scorer(path)
+
+
+def test_load_rejects_a_format_that_is_not_the_scorer_string(tmp_path):
+    path = _edited_scorer_file(tmp_path, lambda p: p.update(format=["p2g-ngram-scorer"]))
+    with pytest.raises(FormatError, match="not a scorer file"):
+        load_scorer(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ctx", "k"), ("ctx", [1]), ("hist", None), ("hist", [True]), ("n", []),
+])
+def test_load_type_checks_every_counts_entry(tmp_path, key, value):
+    """Only the last entry is bad, so the one type pass must cover the whole
+    list."""
+    path = _edited_scorer_file(tmp_path, lambda p: p["counts"][-1].update({key: value}))
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        load_scorer(path)
+
+
+@pytest.mark.parametrize("key", ["ctx", "hist", "n"])
+def test_load_rejects_a_counts_entry_missing_a_field(tmp_path, key):
+    path = _edited_scorer_file(tmp_path, lambda p: p["counts"][-1].pop(key))
+    with pytest.raises(FormatError, match=f"missing field '{key}'"):
+        load_scorer(path)
 
 
 # ---- property: scoring is finite and monotone in length ------------------
