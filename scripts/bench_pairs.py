@@ -19,9 +19,13 @@ falls on both sides. For every workload and seed the output
 - the failed and attempted counts of every run
 - whether every run of both sides wrote the same artifact digests, the
   digests themselves, and the baseline digest notes ``bench/run.py`` printed
+- every run that exited non-zero, with its side, pair, exit code and the
+  tail of its stderr; the other runs still go on, and the statistics above
+  cover the runs that finished (wins: the pairs where both sides did)
 
 and ``code.src_lines`` of each checkout, counted as ``bench/run.py`` counts
-it. The exit status is 1 when a run fails or the digests differ.
+it. The report is always written; the exit status is 1 when a run exits
+non-zero or reports failed operations, or the digests differ.
 """
 
 from __future__ import annotations
@@ -43,13 +47,13 @@ def _src_lines(checkout: Path) -> int:
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run: its printed values, digests, notes and result,
-    parsed as ``bench/spread.py`` parses them."""
+    parsed as ``bench/spread.py`` parses them; for a run that exits non-zero,
+    its exit code and the tail of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)}: exit {proc.returncode}\n"
-                           f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}")
+        return {"exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
     lines = proc.stdout.strip().splitlines()
     run = {"result": json.loads(lines[-1]), "values": {}, "digests": {}, "notes": []}
     # every measured value is printed above the result as "name value unit"
@@ -75,15 +79,21 @@ def _side(values: list[float]) -> dict:
 
 
 def _compare(runs: dict[str, list[dict]], name: str, better: str | None) -> dict:
-    per_side = {side: [r["values"][name] for r in runs[side]] for side in SIDES}
+    """Each side's statistics of ``name`` over its finished runs (None if it
+    has none); wins count the pairs in which both sides finished."""
+    per_side = {side: [None if "exit" in r else r["values"][name] for r in runs[side]]
+                for side in SIDES}
     row: dict = {"better": better} if better else {}
-    row.update({side: _side(values) for side, values in per_side.items()})
-    parent = row["parent"]["median"]
-    row["ratio"] = round(row["change"]["median"] / parent, 4) if parent else None
+    for side, values in per_side.items():
+        finished = [v for v in values if v is not None]
+        row[side] = _side(finished) if finished else None
+    parent, change = (row[side] and row[side]["median"] for side in SIDES)
+    row["ratio"] = round(change / parent, 4) if parent and change is not None else None
     if better:
         higher = better == "higher"
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(*per_side.values()))
-        row["change_wins"] = f"{wins}/{len(per_side['parent'])}"
+        both = [(p, c) for p, c in zip(*per_side.values()) if p is not None and c is not None]
+        wins = sum((c > p) if higher else (c < p) for p, c in both)
+        row["change_wins"] = f"{wins}/{len(both)}"
     return row
 
 
@@ -91,28 +101,36 @@ def _workload(args, workload: str, seed: int, spec: dict) -> dict:
     end_to_end = spec["end_to_end"]
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     checkouts = {"parent": args.parent, "change": args.change}
+    failed_runs = []
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             run = _run(checkouts[side], workload, seed, spec["run_seconds"])
             runs[side].append(run)
-            print(f"{workload} seed {seed} pair {i + 1} {side}: " + " ".join(
-                f"{m['name']}={run['values'][m['name']]:.6g}" for m in end_to_end)
-                + f" failed={run['result']['failed']}", file=sys.stderr, flush=True)
+            head = f"{workload} seed {seed} pair {i + 1} {side}: "
+            if "exit" in run:
+                failed_runs.append({"side": side, "pair": i + 1, **run})
+                print(head + f"exit {run['exit']}\n{run['stderr_tail']}", file=sys.stderr,
+                      flush=True)
+                continue
+            print(head + " ".join(f"{m['name']}={run['values'][m['name']]:.6g}"
+                                  for m in end_to_end)
+                  + f" failed={run['result']['failed']}", file=sys.stderr, flush=True)
+    finished = [run for side in SIDES for run in runs[side] if "exit" not in run]
     declared = {m["name"] for m in end_to_end}
-    stages = sorted(name for name in runs["parent"][0]["values"]
+    stages = sorted(name for name in (finished[0]["values"] if finished else ())
                     if name.endswith("_s") and not name.startswith("wall_")
                     and name not in declared)
-    digests = [run["digests"] for side in SIDES for run in runs[side]]
+    digests = [run["digests"] for run in finished]
     return {
         "pairs": args.pairs,
         **{m["name"]: _compare(runs, m["name"], m["better"]) for m in end_to_end},
         "stages": {name: _compare(runs, name, None) for name in stages},
-        **{key: {side: [r["result"][key] for r in runs[side]] for side in SIDES}
-           for key in ("failed", "attempted")},
+        **{key: {side: [None if "exit" in r else r["result"][key] for r in runs[side]]
+                 for side in SIDES} for key in ("failed", "attempted")},
         "digests_identical": all(d == digests[0] for d in digests),
-        "digests": digests[0],
-        "baseline_digest_check": sorted({n for side in SIDES for r in runs[side]
-                                         for n in r["notes"]}),
+        "digests": digests[0] if digests else None,
+        "baseline_digest_check": sorted({n for r in finished for n in r["notes"]}),
+        "failed_runs": failed_runs,
     }
 
 
@@ -143,7 +161,8 @@ def main(argv=None) -> int:
                           for s in args.seeds} for w in args.workloads},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    ok = all(r["digests_identical"] and not any(r["failed"]["parent"] + r["failed"]["change"])
+    ok = all(r["digests_identical"] and not r["failed_runs"]
+             and not any(r["failed"]["parent"] + r["failed"]["change"])
              for w in report["workloads"].values() for r in w.values())
     return 0 if ok else 1
 

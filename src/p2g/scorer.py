@@ -105,8 +105,11 @@ class NGramScorer:
         object.__setattr__(self, "_sorted",
                            (tuple(sorted(lids)), tuple(sorted(self.units))))
         # rows are built on first read: step 0 and later steps have separate
-        # tables because at order 1 they share state keys
+        # tables because at order 1 they share state keys. A key without counts
+        # reads the floor row of None, built here; ``_kids`` memoizes ``_children``
         object.__setattr__(self, "_rows", ({}, {}))
+        object.__setattr__(self, "_kids", ({}, {}))
+        self._row(None, 0), self._row(None, 1)
 
     # ---- state handling ------------------------------------------------
 
@@ -167,6 +170,20 @@ class NGramScorer:
             row = rows[key] = (math.log(alpha / denom), seen)
         return row
 
+    def _children(self, key: StateKey | None, step: int,
+                  width: int) -> tuple[float, tuple[tuple[float, str], ...]]:
+        """The end marker's log-prob at ``key`` and the ``(lp, unit)`` children an
+        entry grows by, sorted by ``(-lp, unit)``: the counted units and the first
+        ``width`` zero-count ones in string order; memoized per width like ``_row``."""
+        which = 0 if step == 0 else 1
+        floor, seen = self._row(key, step)
+        order = self._sorted[which]  # type: ignore[attr-defined]
+        zeros = islice(filterfalse(seen.__contains__, order), width)
+        kids = sorted([(lp, unit) for unit, lp in seen.items() if unit != EOS]
+                      + [(floor, unit) for unit in zeros], key=lambda kid: (-kid[0], kid[1]))
+        return self._kids[which].setdefault(width, {}).setdefault(  # type: ignore[attr-defined]
+            key, (seen.get(EOS, floor), tuple(kids)))
+
     # ---- scoring -------------------------------------------------------
 
     def step_log_probs(self, y: TargetText, phonemes: Sequence[str]) -> list[float]:
@@ -180,11 +197,11 @@ class NGramScorer:
         stream = (lid_token(y.lid), *y.graphemes, EOS)
         keys = self._keys(phonemes, stream)
         floor, seen = self._row(next(keys), 0)
-        # a built row is one memo lookup; a miss (no counts, or not built yet) goes to _row
-        memo = self._rows[1]  # type: ignore[attr-defined]
+        # a built row is one memo lookup; a key without counts reads the floor row
+        memo, counts = self._rows[1], self.counts  # type: ignore[attr-defined]
         return [seen.get(stream[0], floor)] + [
-            (row := memo.get(key) or self._row(key, 1))[1].get(unit, row[0])
-            for key, unit in zip(keys, stream[1:])]
+            (row := memo.get(key) or (self._row(key, 1) if key in counts else memo[None]))
+            [1].get(unit, row[0]) for key, unit in zip(keys, stream[1:])]
 
     def log_score(self, y: TargetText, phonemes: Sequence[str]) -> float:
         """log p(y.lid, y.graphemes, eos | phonemes); always finite and <= 0."""
@@ -209,6 +226,12 @@ class NGramScorer:
           zero-count children tie on score and break the tie on the stream
           tuple, which they share up to that last unit, so no other
           zero-count child can rank among the ``width`` kept.
+        - An entry walks those children best first and stops at the first
+          scoring strictly above ``thr``, the ``width``-th child score of some
+          entry of the level. Rounding is monotone, so a skipped child scores
+          at least that much, and ``width`` children at or below ``thr`` (ties
+          kept) rank first. The layer is sorted and a step adds <= 0, so an
+          entry above both ``thr`` and the completion cutoff ends the level.
         - Entries are ``(-score, stream)`` tuples, so ``heapq.nsmallest``
           keeps the same ``width`` in the same order as the full sort. A
           child is ``(-score, stream, unit)`` until it is kept; all streams
@@ -240,31 +263,37 @@ class NGramScorer:
         completed: list[tuple[float, str, str]] = []
         # level 0 grows the empty stream by the lid tokens
         layer: list[tuple[float, tuple[str, ...]]] = [(-0.0, ())]
-        step = 0
+        step, counts = 0, self.counts
         while layer and step <= max_len + 1:
             cutoff = completed[-1][0] if len(completed) == s else math.inf
             if layer[0][0] > cutoff:
                 break
             which = 0 if step == 0 else 1
-            order, memo = self._sorted[which], self._rows[which]  # type: ignore[attr-defined]
+            kids = self._kids[which].setdefault(width, {})  # type: ignore[attr-defined]
+            floor = kids.get(None) or self._children(None, step, width)
             # every entry of a level shares the window; pad + stream holds
             # order - 1 + step units, so its history is the slice from step
             ctx = wins[min(step, len(wins) - 1)]
             grown: list[tuple[float, tuple[str, ...], str]] = []
+            # children above thr cannot be kept; past max_len none may grow
+            thr = math.inf if step <= max_len else -math.inf
             for neg, stream in layer:
+                if neg > thr and neg > cutoff:
+                    break
                 key = (ctx, (pad + stream)[step:])
-                floor, seen = memo.get(key) or self._row(key, step)
+                end, children = kids.get(key) or (
+                    self._children(key, step, width) if key in counts else floor)
                 if step:
-                    done = neg - seen.get(EOS, floor)
+                    done = neg - end
                     if done <= cutoff:
                         completed.append((done, stream[0][len("<lid:"):-1],
                                           "".join(stream[1:])))
-                if step <= max_len:
-                    grown += [(neg - lp, stream, unit)
-                              for unit, lp in seen.items() if unit != EOS]
-                    unseen = neg - floor
-                    zeros = islice(filterfalse(seen.__contains__, order), width)
-                    grown += [(unseen, stream, unit) for unit in zeros]
+                if len(children) >= width and (top := neg - children[width - 1][0]) < thr:
+                    thr = top
+                for lp, unit in children:
+                    if (child := neg - lp) > thr:
+                        break
+                    grown.append((child, stream, unit))
             completed = heapq.nsmallest(s, completed)
             layer = [(neg, stream + (unit,))
                      for neg, stream, unit in heapq.nsmallest(width, grown)]

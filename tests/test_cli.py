@@ -551,3 +551,43 @@ def test_selftest_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys)
     assert c10.startswith("FAIL  c10_round_trip")
     assert "ValueError: parser broken" in c10
     assert lines[CHECKS.index(selftest.sampler_frequencies)].startswith("PASS  ")
+
+
+_FAKE_BENCH = '''import json, pathlib, sys
+count = pathlib.Path(__file__).with_name("count")
+n = int(count.read_text()) if count.exists() else 0
+count.write_text(str(n + 1))
+if n == {fail_at}:
+    print("out of luck", file=sys.stderr)
+    sys.exit(3)
+print("utt_per_s {value} 1/s")
+print("decode_s 0.5 s")
+print("# sha256 abc decoded.jsonl")
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0}}))
+'''
+
+
+def test_bench_pairs_keeps_failed_runs(tmp_path):
+    """A run that exits non-zero is recorded and the other pairs still run;
+    the report is written and the exit status is 1."""
+    checkouts = {}
+    for side, fail_at, value in (("parent", 1, 2.0), ("change", -1, 3.0)):
+        root = checkouts[side] = tmp_path / side
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text(_FAKE_BENCH.format(fail_at=fail_at, value=value))
+        (root / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [{"name": "utt_per_s", "better": "higher"}]}))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    out = tmp_path / "report.json"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+                 "--workloads", "decode", "--pairs", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())["workloads"]["decode"]["seed_1"]
+    assert [(r["side"], r["pair"], r["exit"]) for r in report["failed_runs"]] == \
+        [("parent", 2, 3)]
+    assert "out of luck" in report["failed_runs"][0]["stderr_tail"]
+    assert report["utt_per_s"]["parent"]["runs"] == [2.0, 2.0]
+    assert report["utt_per_s"]["change"]["runs"] == [3.0, 3.0, 3.0]
+    assert report["utt_per_s"]["change_wins"] == "2/2"
+    assert report["failed"]["parent"] == [0, None, 0]
+    assert report["digests_identical"] and report["stages"]["decode_s"]["ratio"] == 1.0

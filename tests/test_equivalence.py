@@ -2,16 +2,20 @@
 copies of the code they replaced, on random inputs: equal lists, with
 bitwise-equal floats.
 
-``generate_top_s`` reads memoized scorer rows, grows each entry by its
-counted units plus the first ``width`` uncounted ones in string order, and
-stops as soon as no later completion can enter the top s; the reference
-grows every entry by every candidate, fully sorts each level, runs every one
-of the ``max_len + 1`` levels and recomputes each smoothed distribution
-from the raw counts. ``prefix_beam_search``
-extends the whole beam at once as a (beam x (V+1)) numpy array, merges each
-member with its parent's extension, and selects with an ``np.partition``
-threshold and ``heapq.nsmallest``; the reference grows one prefix and one
-label at a time in dicts and fully sorts every frame. ``skm_log_marginal``
+``generate_top_s`` reads each row's children from a per-width memo (its
+counted units plus the first ``width`` uncounted ones in string order, best
+first), grows each entry only by the children scoring at or below the
+level's threshold ``thr``, ends a level at an entry above both ``thr`` and
+the completion cutoff, and stops as soon as no later completion can enter
+the top s. Its tie cases use alpha = 1e17 (where n + alpha == alpha) or an
+explicit count of 0, so counted children tie uncounted ones at ``thr``. The
+reference grows every entry by every candidate, fully sorts each level, runs
+every one of the ``max_len + 1`` levels and recomputes each smoothed
+distribution from the raw counts. ``prefix_beam_search`` extends the whole
+beam at once as a (beam x (V+1)) numpy array, merges each member with its
+parent's extension, and selects with an ``np.partition`` threshold and
+``heapq.nsmallest``; the reference grows one prefix and one label at a time
+in dicts and fully sorts every frame. ``skm_log_marginal``
 and ``sskm_log_marginal`` build weighted hypothesis lists for
 ``tkm_log_marginal``; the references write out each estimator's own sum.
 ``forward_logprob`` computes each frame over its reachable band of states in
@@ -247,6 +251,58 @@ def test_generate_top_s_tie_at_cutoff_uses_text_order():
     got = scorer.generate_top_s((), 1)
     assert _bits(got) == _bits(_reference_generate(scorer, (), 1, 64, None))
     assert got == [(TargetText("xa", "a"), math.log(0.5))]
+
+
+def _tie_scorer(case, table):
+    """``table`` maps a history unit to counts of "tie" or "big"; at alpha
+    1e17 a count of 1 adds nothing (n + alpha == alpha in floats), and an
+    explicit count of 0 always adds nothing, so a "tie" unit scores exactly
+    as the zero-count ones do while still being in its row's bucket."""
+    alpha, n = {"huge-alpha": (1e17, {"tie": 1, "big": 10**18}),
+                "zero-count": (0.5, {"tie": 0, "big": 3})}[case]
+    counts = {((), (hist,)): {unit: n[kind] for unit, kind in row.items()}
+              for hist, row in table.items()}
+    return NGramScorer(order=2, smoothing_alpha=alpha, context_window=0,
+                       languages=("xb", "xa"), units=("d", "c", "b", "a"), counts=counts)
+
+
+@pytest.mark.parametrize("beam_width", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("case", ["huge-alpha", "zero-count"])
+def test_generate_top_s_keeps_ties_at_the_threshold(case, s, beam_width):
+    """Counted units tie the zero-count ones and string order puts some of
+    them after zero-count units ("c" after "a" and "b", <lid:xb> after
+    <lid:xa>), so the ``thr`` cut of the ordered growth falls inside a group
+    of tied children. Every tied child must still compete on the stream."""
+    lid_a, lid_b = lid_token("xa"), lid_token("xb")
+    scorer = _tie_scorer(case, {BOS: {lid_b: "tie"},
+                                lid_a: {"c": "tie", "d": "big", EOS: "tie"},
+                                lid_b: {"c": "tie", "a": "big"},
+                                "c": {"c": "tie", "b": "tie"},
+                                "d": {EOS: "big", "d": "tie"}})
+    got = scorer.generate_top_s((), s, max_len=3, beam_width=beam_width)
+    assert _bits(got) == _bits(_reference_generate(scorer, (), s, 3, beam_width))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       case=st.sampled_from(["huge-alpha", "zero-count"]),
+       s=st.integers(min_value=1, max_value=4),
+       beam_width=st.integers(min_value=1, max_value=3),
+       max_len=st.integers(min_value=0, max_value=4))
+def test_generate_top_s_keeps_random_ties_at_the_threshold(seed, case, s, beam_width,
+                                                           max_len):
+    """Random rows of "tie" and "big" counts over every history."""
+    rnd = random.Random(seed)
+    cands = ["a", "b", "c", "d", EOS]
+    table = {hist: {unit: rnd.choice(["tie", "tie", "big"])
+                    for unit in rnd.sample(cands, rnd.randint(0, 5))}
+             for hist in ["a", "b", "c", "d", lid_token("xa"), lid_token("xb")]}
+    table[BOS] = {lid: rnd.choice(["tie", "big"])
+                  for lid in rnd.sample([lid_token("xa"), lid_token("xb")], rnd.randint(0, 2))}
+    scorer = _tie_scorer(case, table)
+    got = scorer.generate_top_s((), s, max_len=max_len, beam_width=beam_width)
+    assert _bits(got) == _bits(_reference_generate(scorer, (), s, max_len, beam_width))
 
 
 def _with_one_hot_rows(grid, rng, share):
@@ -585,8 +641,21 @@ def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
             assert [float.hex(v) for v in scorer.step_log_probs(y, phonemes)] == \
                 [float.hex(v) for v in want]
             assert float.hex(scorer.log_score(y, phonemes)) == float.hex(total)
+        # the narrow width first, so the wide one finds rows it must not reuse
+        assert scorer.generate_top_s(phonemes, 1, max_len=n, beam_width=1) == \
+            _reference_generate(ref, phonemes, 1, n, 1)
         assert scorer.generate_top_s(phonemes, 2, max_len=n, beam_width=3) == \
             _reference_generate(ref, phonemes, 2, n, 3)
     # every key without counts shares one row, so the memo holds no such key
     for rows in scorer._rows:  # type: ignore[attr-defined]
         assert set(rows) <= set(scorer.counts) | {None}
+    # nor do the children kept per width; a narrower width keeps the same
+    # children less the zero-count units past its own width
+    for rows, kids in zip(scorer._rows, scorer._kids):  # type: ignore[attr-defined]
+        for cache in kids.values():
+            assert set(cache) <= set(scorer.counts) | {None}
+        for key, (end, wide) in kids.get(3, {}).items():
+            if key in kids.get(1, {}):
+                seen = rows[key][1]
+                extra = sorted(unit for _, unit in wide if unit not in seen)[1:]
+                assert kids[1][key] == (end, tuple(c for c in wide if c[1] not in extra))
