@@ -151,11 +151,7 @@ def _refs_with_grids(args, cfg: RunConfig
                      ) -> list[tuple[data.UtteranceRecord, ctc.PosteriorGrid]]:
     """(record, grid) for every refs record, matched by utterance id."""
     grids_path = _path(args, cfg, "grids")
-    index: dict[str, ctc.PosteriorGrid] = {}
-    for grid in ctc.load_grids(grids_path, cfg.renormalize):
-        if grid.utterance_id in index:
-            raise ConfigError(f"duplicate grid id {grid.utterance_id!r}")
-        index[grid.utterance_id] = grid
+    index = {grid.utterance_id: grid for grid in ctc.load_grids(grids_path, cfg.renormalize)}
     pairs = []
     for rec in data.load_manifest(_path(args, cfg, "refs")).records:
         grid = index.get(rec.utterance_id)

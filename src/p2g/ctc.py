@@ -358,7 +358,7 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
     Each line holds ``{"id", "symbols", "logp"}`` where ``symbols`` excludes
     the blank and ``logp`` rows are natural-log posteriors over
     [blank] + symbols. A zero-probability cell is ``null``; the older
-    non-standard ``-Infinity`` is read as well.
+    non-standard ``-Infinity`` is read as well. Ids are unique.
     """
     def parse(obj: dict) -> PosteriorGrid:
         utt_id = field(obj, "id", str)
@@ -378,7 +378,7 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
             return PosteriorGrid.renormalized(utt_id, alphabet, matrix)
         return PosteriorGrid(utt_id, alphabet, matrix)
 
-    return list(iter_jsonl(path, parse))
+    return list(iter_jsonl(path, parse, unique="grid id"))
 
 
 def save_grids(grids: Iterable[PosteriorGrid], path) -> None:

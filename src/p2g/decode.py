@@ -85,15 +85,10 @@ def save_decode_results(items: Iterable[tuple[str, DecodeResult]], path) -> None
 
 def load_hypotheses(path) -> dict[str, TargetText]:
     """Read decode output back as {utterance id: best text}."""
-    seen: set[str] = set()
-
     def parse(obj: dict) -> tuple[str, TargetText]:
         utt_id = field(obj, "id", str)
         lid = field(obj, "lid", str)
         text = field(obj, "text", str)
-        if utt_id in seen:
-            raise ValueError(f"duplicate utterance id {utt_id!r}")
-        seen.add(utt_id)
         return utt_id, TargetText(lid=lid, graphemes=text)
 
-    return dict(iter_jsonl(path, parse))
+    return dict(iter_jsonl(path, parse, unique="utterance id"))

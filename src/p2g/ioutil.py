@@ -47,9 +47,12 @@ def located(path: str | os.PathLike, line_no: int | None = None) -> Iterator[Non
         raise FormatError(str(exc), path=path, line_no=line_no) from exc
 
 
-def iter_jsonl(path: str | os.PathLike, parse: Callable[[dict], T]) -> Iterator[T]:
+def iter_jsonl(path: str | os.PathLike, parse: Callable[[dict], T],
+               unique: str | None = None) -> Iterator[T]:
     """Yield ``parse(obj)`` for the object on every non-blank line of a JSONL
-    file; a ``ValueError`` from the line or from ``parse`` names the line."""
+    file; a ``ValueError`` from the line or from ``parse`` names the line. With
+    ``unique`` (say "grid id"), a line repeating an earlier ``id`` is refused."""
+    ids: set[str] = set()
     with open(path, encoding="utf-8") as fh, located(path):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -58,7 +61,12 @@ def iter_jsonl(path: str | os.PathLike, parse: Callable[[dict], T]) -> Iterator[
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("expected a JSON object")
-                yield parse(obj)
+                item = parse(obj)
+                if unique:
+                    if obj["id"] in ids:
+                        raise ValueError(f"duplicate {unique} {obj['id']!r}")
+                    ids.add(obj["id"])
+                yield item
 
 
 def field(obj: dict, key: str, kind: type | tuple[type, ...], items: type | None = None):

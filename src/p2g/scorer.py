@@ -19,7 +19,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, filterfalse, islice, repeat
 from operator import add
 from typing import Iterator, Protocol, Sequence
@@ -60,11 +60,14 @@ class ConditionalScorer(Protocol):
 
 
 StateKey = tuple[tuple[str, ...], tuple[str, ...]]
+Row = tuple[float, dict[str, float]]  # (floor log-prob, {counted unit: log-prob})
+Kids = tuple[float, tuple[tuple[float, str], ...]]  # (end-marker lp, children)
 
 
 @dataclass(frozen=True, eq=True)
 class NGramScorer:
-    """Count tables plus smoothing config; immutable once trained."""
+    """Count tables plus smoothing config; immutable once trained. The row and
+    children tables (``_rows``, ``_children``) are built whole on first read."""
 
     order: int
     smoothing_alpha: float
@@ -92,24 +95,18 @@ class NGramScorer:
         ns = list(chain.from_iterable(map(dict.values, self.counts.values())))
         if not set(map(type, ns)) <= {int} or min(ns, default=0) < 0:  # a bool is no int
             raise ValueError("every count must be an integer >= 0")
-        lids = tuple(lid_token(c) for c in self.languages)
-        cand_sets = (frozenset(lids), frozenset(self.units + (EOS,)))
+        cand_sets = (frozenset(map(lid_token, self.languages)), frozenset(self.units + (EOS,)))
         # no row reads a count outside both candidate sets, so it would be lost
         stray = set().union(*self.counts.values()) - cand_sets[0] - cand_sets[1]
         if stray:
             raise ValueError(f"counts for units outside the scorer inventory: "
                              f"{', '.join(map(repr, sorted(stray)))}")
-        # candidates of step 0 (lid tokens) and of every later step, and the
-        # ones generation grows a stream by, in string order
+        # no row's denominator exceeds this one, so a nonzero quotient has a log
+        most = max(map(sum, map(dict.values, self.counts.values())), default=0)
+        if (alpha := self.smoothing_alpha) / (most + alpha * max(map(len, cand_sets))) == 0:
+            raise ValueError(f"smoothing_alpha {alpha!r} underflows a log-prob at {most} counts")
+        # candidates of step 0 (lid tokens) and of every later step
         object.__setattr__(self, "_cand_sets", cand_sets)
-        object.__setattr__(self, "_sorted",
-                           (tuple(sorted(lids)), tuple(sorted(self.units))))
-        # rows are built on first read: step 0 and later steps have separate
-        # tables because at order 1 they share state keys. A key without counts
-        # reads the floor row of None, built here; ``_kids`` memoizes ``_children``
-        object.__setattr__(self, "_rows", ({}, {}))
-        object.__setattr__(self, "_kids", ({}, {}))
-        self._row(None, 0), self._row(None, 1)
 
     # ---- state handling ------------------------------------------------
 
@@ -147,42 +144,50 @@ class NGramScorer:
         hists = zip(*(padded[i:] for i in range(need))) if need else repeat((), len(stream))
         return zip(chain(wins, repeat(wins[-1])), hists)
 
-    def _row(self, key: StateKey, step: int) -> tuple[float, dict[str, float]]:
-        """The smoothed step distribution at ``key``, the one definition of it.
-
-        Over the step's candidate set C, with n the key's counts, a candidate
-        has log-prob ``log((n + alpha) / denom)`` where ``denom = sum(n) +
-        alpha * |C|``. The row holds the floor ``log(alpha / denom)`` shared
-        by every zero-count candidate (and any unit outside C), plus the
-        log-prob of each candidate in the key's count bucket."""
-        which = 0 if step == 0 else 1
-        rows = self._rows[which]  # type: ignore[attr-defined]
-        if key not in self.counts:
-            key = None  # every key without counts has the same row
-        row = rows.get(key)
-        if row is None:
-            cands = self._cand_sets[which]  # type: ignore[attr-defined]
-            bucket = {u: n for u, n in self.counts.get(key, {}).items() if u in cands}
-            alpha = self.smoothing_alpha
+    @cached_property
+    def _rows(self) -> tuple[tuple[dict[StateKey, Row], Row], ...]:
+        """The one definition of the smoothed step distributions, built whole on first
+        read, for step 0 and for later steps (at order 1 they share state keys): the
+        row of each key whose counts meet the step's candidate set C, and the floor row
+        every other key reads. With n the key's counts in C and ``denom = sum(n) + alpha
+        * |C|``, a row is the floor ``log(alpha / denom)`` of every zero-count candidate
+        (and unit outside C) and ``log((n + alpha) / denom)`` of each candidate in n."""
+        def row(bucket: dict[str, int], cands: frozenset[str]) -> Row:
+            bucket = {u: n for u, n in bucket.items() if u in cands}
             # integer counts, so their sum does not depend on the order
             denom = sum(bucket.values()) + alpha * len(cands)
-            seen = {u: math.log((n + alpha) / denom) for u, n in bucket.items()}
-            row = rows[key] = (math.log(alpha / denom), seen)
-        return row
+            return (math.log(alpha / denom),
+                    {u: math.log((n + alpha) / denom) for u, n in bucket.items()})
 
-    def _children(self, key: StateKey | None, step: int,
-                  width: int) -> tuple[float, tuple[tuple[float, str], ...]]:
-        """The end marker's log-prob at ``key`` and the ``(lp, unit)`` children an
-        entry grows by, sorted by ``(-lp, unit)``: the counted units and the first
-        ``width`` zero-count ones in string order; memoized per width like ``_row``."""
-        which = 0 if step == 0 else 1
-        floor, seen = self._row(key, step)
-        order = self._sorted[which]  # type: ignore[attr-defined]
-        zeros = islice(filterfalse(seen.__contains__, order), width)
-        kids = sorted([(lp, unit) for unit, lp in seen.items() if unit != EOS]
-                      + [(floor, unit) for unit in zeros], key=lambda kid: (-kid[0], kid[1]))
-        return self._kids[which].setdefault(width, {}).setdefault(  # type: ignore[attr-defined]
-            key, (seen.get(EOS, floor), tuple(kids)))
+        alpha = self.smoothing_alpha
+        return tuple(({key: row(bucket, cands) for key, bucket in self.counts.items()
+                       if not cands.isdisjoint(bucket)}, row({}, cands))
+                     for cands in self._cand_sets)  # type: ignore[attr-defined]
+
+    def _row(self, key: StateKey, step: int) -> Row:
+        """The ``_rows`` row that ``key`` reads at ``step``."""
+        rows, floor = self._rows[step > 0]
+        return rows.get(key, floor)
+
+    def _children(self, width: int) -> tuple[tuple[dict[StateKey, Kids], Kids], ...]:
+        """``_rows`` with each row mapped to the end marker's log-prob and the
+        ``(lp, unit)`` children an entry grows by, sorted by ``(-lp, unit)``: the
+        counted units and the first ``width`` zero-count ones in string order.
+        Built whole on the first read of each width."""
+        def grow(row: Row, order: Sequence[str]) -> Kids:
+            floor, seen = row
+            zeros = islice(filterfalse(seen.__contains__, order), width)
+            kids = sorted([(lp, unit) for unit, lp in seen.items() if unit != EOS]
+                          + [(floor, unit) for unit in zeros], key=lambda kid: (-kid[0], kid[1]))
+            return seen.get(EOS, floor), tuple(kids)
+
+        kids = self.__dict__.setdefault("_kids", {})
+        if width not in kids:
+            orders = (sorted(c - {EOS}) for c in self._cand_sets)  # type: ignore[attr-defined]
+            kids[width] = tuple(({key: grow(row, order) for key, row in rows.items()},
+                                 grow(floor, order))
+                                for (rows, floor), order in zip(self._rows, orders))
+        return kids[width]
 
     # ---- scoring -------------------------------------------------------
 
@@ -197,11 +202,10 @@ class NGramScorer:
         stream = (lid_token(y.lid), *y.graphemes, EOS)
         keys = self._keys(phonemes, stream)
         floor, seen = self._row(next(keys), 0)
-        # a built row is one memo lookup; a key without counts reads the floor row
-        memo, counts = self._rows[1], self.counts  # type: ignore[attr-defined]
+        rows, floor_row = self._rows[1]
         return [seen.get(stream[0], floor)] + [
-            (row := memo.get(key) or (self._row(key, 1) if key in counts else memo[None]))
-            [1].get(unit, row[0]) for key, unit in zip(keys, stream[1:])]
+            (row := rows.get(key, floor_row))[1].get(unit, row[0])
+            for key, unit in zip(keys, stream[1:])]
 
     def log_score(self, y: TargetText, phonemes: Sequence[str]) -> float:
         """log p(y.lid, y.graphemes, eos | phonemes); always finite and <= 0."""
@@ -222,7 +226,8 @@ class NGramScorer:
         because each shortcut below is exact:
 
         - An entry grows by the units in its row's count bucket plus only
-          the first ``width`` zero-count units in string order. Its
+          the first ``width`` zero-count units in string order, read with
+          one lookup in the ``_children`` table of this width. Its
           zero-count children tie on score and break the tie on the stream
           tuple, which they share up to that last unit, so no other
           zero-count child can rank among the ``width`` kept.
@@ -263,14 +268,12 @@ class NGramScorer:
         completed: list[tuple[float, str, str]] = []
         # level 0 grows the empty stream by the lid tokens
         layer: list[tuple[float, tuple[str, ...]]] = [(-0.0, ())]
-        step, counts = 0, self.counts
+        tables, step = self._children(width), 0
         while layer and step <= max_len + 1:
             cutoff = completed[-1][0] if len(completed) == s else math.inf
             if layer[0][0] > cutoff:
                 break
-            which = 0 if step == 0 else 1
-            kids = self._kids[which].setdefault(width, {})  # type: ignore[attr-defined]
-            floor = kids.get(None) or self._children(None, step, width)
+            kids, floor = tables[step > 0]
             # every entry of a level shares the window; pad + stream holds
             # order - 1 + step units, so its history is the slice from step
             ctx = wins[min(step, len(wins) - 1)]
@@ -280,9 +283,7 @@ class NGramScorer:
             for neg, stream in layer:
                 if neg > thr and neg > cutoff:
                     break
-                key = (ctx, (pad + stream)[step:])
-                end, children = kids.get(key) or (
-                    self._children(key, step, width) if key in counts else floor)
+                end, children = kids.get((ctx, (pad + stream)[step:]), floor)
                 if step:
                     done = neg - end
                     if done <= cutoff:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import logging
 import runpy
@@ -20,7 +21,7 @@ from p2g.data import (
     save_manifest,
     save_training_lines,
 )
-from p2g.scorer import TargetText
+from p2g.scorer import NGramScorer, TargetText
 from p2g.selftest import CHECKS
 
 
@@ -189,6 +190,39 @@ def test_every_line_reader_locates_a_bad_record(workdir, tmp_path, capsys, reade
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(argv) == 2
     assert f"{bad}, line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["beam", "sample", "decode", "score", "augment"])
+def test_every_grid_reader_refuses_a_repeated_id(workdir, tmp_path, capsys, command):
+    """A grid id given twice exits 2 at its second line in every command that
+    reads grids, so no output repeats an id that ``eval`` would refuse."""
+    lines = _first_lines(workdir / "grids.jsonl", 3)
+    bad = tmp_path / "grids.jsonl"
+    bad.write_text("\n".join(lines + lines[1:2]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    refs, scorer = str(workdir / "manifest.jsonl"), str(workdir / "scorer.json")
+    argv = {"beam": ["--in", str(bad)],
+            "sample": ["--in", str(bad), "--k", "2", "--seed", "1"],
+            "decode": ["--grids", str(bad), "--scorer", scorer],
+            "score": ["--grids", str(bad), "--refs", refs, "--scorer", scorer,
+                      "--method", "tkm", "--k", "2"],
+            "augment": ["--grids", str(bad), "--refs", refs]}[command]
+    assert cli.main([command, *argv, "--out", str(out)]) == 2
+    utt_id = json.loads(lines[1])["id"]
+    assert f"{bad}, line 4: duplicate grid id {utt_id!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_traced_names_resolve():
+    """The bench tracer patches each ``TRACED`` name where it is defined, and
+    a method through ``vars(cls)``: a name that moved breaks only the traced
+    bench, so it is checked here."""
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spans.py"))
+    for module, attr in spans["TRACED"]:
+        home = importlib.import_module(f"p2g.{module}")
+        owner, _, name = attr.rpartition(".")
+        assert name in vars(getattr(home, owner) if owner else home), (module, attr)
+    assert {"log_score", "generate_top_s"} <= set(vars(NGramScorer))
 
 
 def test_randomized_commands_require_seed(workdir, tmp_path, capsys):
@@ -406,15 +440,17 @@ def _set_first_count(value):
     (_set("order", True), "'order'"),
     (lambda p: p.update(units="".join(p["units"])), "'units'"),
     (lambda p: p["counts"].append(["ctx", "hist"]), "'counts'"),
+    (_set("smoothing_alpha", 5e-324), "smoothing_alpha"),
 ], ids=["duplicate-language", "alpha-nan", "alpha-infinity", "count-negative",
         "count-fraction", "order-fraction", "order-string", "order-bool",
-        "units-string", "counts-entry-not-object"])
+        "units-string", "counts-entry-not-object", "alpha-subnormal"])
 def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsys,
                                                         edit, expect):
     """Scorer-file fields are type-checked, never coerced, and the scorer's
-    invariants reject a NaN or infinite alpha and a count that is not a
-    non-negative integer: each is a located input error, not a crash or a
-    silently different model."""
+    invariants reject a NaN or infinite alpha, an alpha so small that a
+    log-prob underflows to log(0), and a count that is not a non-negative
+    integer: each is a located input error, not a crash or a silently
+    different model."""
     payload = json.loads((workdir / "scorer.json").read_text(encoding="utf-8"))
     edit(payload)
     bad = tmp_path / "bad.json"
@@ -426,6 +462,16 @@ def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsy
     err = capsys.readouterr().err
     assert str(bad) in err and expect in err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_train_scorer_with_subnormal_alpha_exits_1(workdir, tmp_path, capsys):
+    """An alpha so small that a log-prob underflows is refused before any
+    scorer file is written, so no reader meets one."""
+    out = tmp_path / "scorer.json"
+    assert cli.main(["train-scorer", "--in", str(workdir / "train.txt"),
+                     "--out", str(out), "--alpha", "5e-324"]) == 1
+    assert "smoothing_alpha" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_decode_with_counts_outside_scorer_inventory_exits_2(workdir, tmp_path, capsys):

@@ -2,11 +2,12 @@
 copies of the code they replaced, on random inputs: equal lists, with
 bitwise-equal floats.
 
-``generate_top_s`` reads each row's children from a per-width memo (its
-counted units plus the first ``width`` uncounted ones in string order, best
-first), grows each entry only by the children scoring at or below the
-level's threshold ``thr``, ends a level at an entry above both ``thr`` and
-the completion cutoff, and stops as soon as no later completion can enter
+``generate_top_s`` reads each row's children from the whole table built
+for its width (its counted units plus the first ``width`` uncounted ones in
+string order, best first; a key without counts reads the floor row's),
+grows each entry only by the children scoring at or below the level's
+threshold ``thr``, ends a level at an entry above both ``thr`` and the
+completion cutoff, and stops as soon as no later completion can enter
 the top s. Its tie cases use alpha = 1e17 (where n + alpha == alpha) or an
 explicit count of 0, so counted children tie uncounted ones at ``thr``. The
 reference grows every entry by every candidate, fully sorts each level, runs
@@ -28,7 +29,9 @@ once and adds its multiplicity; the reference counts pair by pair.
 ``log_score``, ``step_log_probs`` and ``train_scorer`` take every step's
 state key from one ``_keys`` walk, and ``generate_top_s`` takes each level's
 window from the same ``_windows``; the reference is ``_state_key`` called
-step by step.
+step by step. The row and children tables hold exactly the keys whose
+counts meet each step kind's candidate set, including a key counted only at
+0 and, at order 1, a key counted for one kind and not the other.
 """
 
 from __future__ import annotations
@@ -203,7 +206,7 @@ def test_generate_top_s_equals_full_depth_on_wide_inventories(seed, s, max_len, 
 def test_step_log_probs_equal_reference_distribution(seed, order):
     """At order 1, step 0 and the later steps share state keys but not
     candidate sets, so their rows must not be shared. Each text is scored
-    twice: a row read from the memo must equal the one just built."""
+    twice: the second read of the built tables must equal the first."""
     rnd = random.Random(seed)
     scorer = _random_scorer(rnd, order=order)
     for _ in range(4):
@@ -609,9 +612,9 @@ def _phones(rnd, pool, most):
        window=st.integers(min_value=0, max_value=2))
 def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
     """``log_score``, ``step_log_probs``, ``train_scorer`` and ``generate_top_s``
-    walk state keys from ``_windows`` and read memo rows inline; the reference calls
+    walk state keys from ``_windows`` and read table rows inline; the reference calls
     ``_row(_state_key(phonemes, step, stream[:step]), step)`` step by step on
-    a separately trained copy (its own memo) and sums left to right. Phonemes
+    a separately trained copy (its own tables) and sums left to right. Phonemes
     may be empty, texts run past the phoneme sequence, and scored inputs use
     phonemes and letters never counted, so many keys have no counts."""
     rnd = random.Random(seed)
@@ -637,7 +640,7 @@ def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
         for value in want:
             total += value
         assert list(scorer._keys(list(phonemes), stream)) == keys
-        for _ in range(2):  # rows built, then read from the memo
+        for _ in range(2):  # tables built, then read again
             assert [float.hex(v) for v in scorer.step_log_probs(y, phonemes)] == \
                 [float.hex(v) for v in want]
             assert float.hex(scorer.log_score(y, phonemes)) == float.hex(total)
@@ -646,16 +649,58 @@ def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
             _reference_generate(ref, phonemes, 1, n, 1)
         assert scorer.generate_top_s(phonemes, 2, max_len=n, beam_width=3) == \
             _reference_generate(ref, phonemes, 2, n, 3)
-    # every key without counts shares one row, so the memo holds no such key
-    for rows in scorer._rows:  # type: ignore[attr-defined]
-        assert set(rows) <= set(scorer.counts) | {None}
-    # nor do the children kept per width; a narrower width keeps the same
-    # children less the zero-count units past its own width
-    for rows, kids in zip(scorer._rows, scorer._kids):  # type: ignore[attr-defined]
-        for cache in kids.values():
-            assert set(cache) <= set(scorer.counts) | {None}
-        for key, (end, wide) in kids.get(3, {}).items():
-            if key in kids.get(1, {}):
-                seen = rows[key][1]
-                extra = sorted(unit for _, unit in wide if unit not in seen)[1:]
-                assert kids[1][key] == (end, tuple(c for c in wide if c[1] not in extra))
+    _assert_whole_tables(scorer, ("p9",) * (2 * window + 1))
+
+
+def _assert_whole_tables(scorer, unseen_ctx):
+    """Each step kind's row table holds exactly the keys whose counts meet its
+    candidate set, a key without counts reads the floor row itself, and the
+    children tables of widths 1 and 3 hold the same keys, the narrow children
+    being the wide ones less the zero-count units past the first."""
+    lids = {lid_token(c) for c in scorer.languages}
+    unseen = (unseen_ctx, (BOS,) * (scorer.order - 1))
+    assert unseen not in scorer.counts
+    for step, (cands, (rows, floor)) in enumerate(
+            zip((lids, {*scorer.units, EOS}), scorer._rows)):  # type: ignore[attr-defined]
+        assert set(rows) == {key for key, bucket in scorer.counts.items()
+                             if not cands.isdisjoint(bucket)}
+        assert scorer._row(unseen, step) is floor
+        assert floor[1] == {} and \
+            {lp for _, lp in _reference_distribution(scorer, unseen, step)} == {floor[0]}
+        narrow, wide = scorer._children(1)[step], scorer._children(3)[step]
+        assert set(narrow[0]) == set(wide[0]) == set(rows)
+        for key in [*rows, None]:
+            (end, kids), seen = (wide[0][key], rows[key][1]) if key else (wide[1], {})
+            extra = sorted(unit for _, unit in kids if unit not in seen)[1:]
+            assert (narrow[0][key] if key else narrow[1]) == \
+                (end, tuple(c for c in kids if c[1] not in extra))
+
+
+def test_order_1_tables_keep_step_kinds_apart():
+    """At order 1 step 0 and later steps share state keys, so a key can meet
+    one candidate set and not the other; an explicit count of 0 puts a key in
+    a table while its row keeps the floor values."""
+    ctx = [("p0",), ("p1",), ("p2",)]
+    scorer = NGramScorer(order=1, smoothing_alpha=0.5, context_window=0,
+                         languages=("xa", "xb"), units=("a", "b"),
+                         counts={(ctx[0], ()): {"<lid:xa>": 2, "a": 0},
+                                 (ctx[1], ()): {"<lid:xb>": 1},
+                                 (ctx[2], ()): {"b": 0}})
+    (rows0, _), (rows1, floor1) = scorer._rows  # type: ignore[attr-defined]
+    assert set(rows0) == {(ctx[0], ()), (ctx[1], ())}
+    assert set(rows1) == {(ctx[0], ()), (ctx[2], ())}
+    assert scorer._row((ctx[1], ()), 1) is floor1
+    assert rows1[(ctx[2], ())] == (floor1[0], {"b": floor1[0]})
+    for phonemes in [(), ("p0",), ("p1", "p0"), ("p2", "p1", "p0"), ("p3",)]:
+        for width in (1, 3):
+            assert scorer.generate_top_s(phonemes, 2, max_len=3, beam_width=width) == \
+                _reference_generate(scorer, phonemes, 2, 3, width)
+        for y in (TargetText("xa", "ab"), TargetText("xb", "bba")):
+            stream = (lid_token(y.lid), *y.graphemes, EOS)
+            keys = [scorer._state_key(phonemes, step, stream[:step])
+                    for step in range(len(stream))]
+            want = [dict(_reference_distribution(scorer, key, step))[unit]
+                    for step, (key, unit) in enumerate(zip(keys, stream))]
+            assert [float.hex(v) for v in scorer.step_log_probs(y, phonemes)] == \
+                [float.hex(v) for v in want]
+    _assert_whole_tables(scorer, ("p9",))

@@ -118,6 +118,26 @@ def test_scorer_rejects_bad_alpha_or_count(alpha, count):
                     counts={((), (BOS,)): {lid_token("xa"): count}})
 
 
+@pytest.mark.parametrize("count, ok", [(1, True), (2, False)])
+def test_subnormal_alpha_is_refused_only_where_a_log_prob_underflows(count, ok):
+    """alpha / (count + alpha * |C|) is alpha itself at a count of 1, and
+    rounds to 0 at a count of 2, where the floor log-prob would be log(0)."""
+    alpha, lid = 5e-324, lid_token("xa")
+
+    def build():
+        return NGramScorer(order=2, smoothing_alpha=alpha, context_window=0,
+                           languages=("xa",), units=("a",),
+                           counts={((), (BOS,)): {lid: 1}, ((), (lid,)): {"a": count}})
+
+    if not ok:
+        with pytest.raises(ValueError, match="smoothing_alpha"):
+            build()
+        return
+    scorer = build()
+    assert scorer.log_score(TargetText("xa", ""), ()) == math.log(alpha)
+    assert scorer.generate_top_s((), 1, max_len=1)[0][0] == TargetText("xa", "a")
+
+
 def test_integer_alpha_round_trips_as_stored(tmp_path):
     """Load checks types and converts nothing, so a scorer trained with an
     integer alpha reloads equal, scores the same and saves the same bytes."""
