@@ -9,7 +9,6 @@ flows through an explicit numpy Generator.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -276,80 +275,103 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
     can only discard mass, never add it. Ties sort by score, then length,
     then lexicographic index order.
 
-    Each frame is a few array operations on a B x (V+1) candidate matrix,
-    where B is the live beam size: column 0 holds a member's own prefix,
-    column c its extension by label c. The scores are bitwise those of the
-    one-prefix-at-a-time recursion. Every sum is the same single float
-    addition, and a merged non-blank mass has at most two terms: the
-    member's own repeat and its parent's extension. ``log_add`` is exactly
-    commutative (max and |a - b| are symmetric, and LOG_ZERO passes the
-    other operand through), so the order of the merges cannot change a bit.
+    Each frame is a fixed set of array operations on an (n+1) x (V+1)
+    candidate matrix: column 0 holds a member's own prefix, column c its
+    extension by c, and row n is a dead slot whose masses are all LOG_ZERO.
+    The scores are bitwise those of the one-prefix-at-a-time recursion:
+
+    - A prefix is an id, from a trie dict (parent id, label) -> id that only
+      the chosen extensions look up. A member finds its parent's row by the
+      parent's id (the dead row if it is not a member), adds the parent's
+      extension by its last label to its non-blank stay with one
+      ``np.logaddexp``, and writes LOG_ZERO back, unmasked. Lineage would
+      not do: a dropped prefix can come back while its child is a member.
+    - ``np.logaddexp`` is ``log_add`` bit for bit except on (-0.0,
+      LOG_ZERO), and no mass is -0.0: each is built from the +0.0 root by
+      sums, -0.0 only if both terms are, and by log_adds, which return an
+      input or add a log1p >= +0.0.
+    - ``np.partition`` finds the ``beam_width``-th largest total, and all
+      above it are kept. Prefixes are distinct and the merge commutes, so
+      member order never matters: prefix tuples are built only for a tie
+      that straddles the cut and for the top k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if beam_width < k:
         raise ValueError("beam_width must be >= k")
 
-    lp = grid.logp
-    cols = lp.shape[1]
-    # the beam, best first: prefix, blank-ending mass, non-blank-ending mass,
-    # total and last label (BLANK for the empty prefix)
-    prefixes: list[PhonemeSequence] = [()]
-    pb = np.zeros(1)
-    pnb = np.full(1, LOG_ZERO)
-    total = np.zeros(1)
-    last = np.zeros(1, dtype=np.intp)
+    cols = grid.logp.shape[1]
+    # parent id * cols + label -> id, counting up in insertion order from the
+    # root (), id 1; id 0 is no prefix's: the root's parent and the dead slot
+    trie = {0: 1}
 
-    for t in range(grid.frames):
-        row = lp[t]
-        cand = np.empty((len(prefixes), cols))
-        cand[:, 1:] = total[:, None] + row[1:]
+    def ranks(cells: np.ndarray) -> list[tuple[int, PhonemeSequence]]:
+        """(length, prefix) of each cell (row * cols + label) of this frame."""
+        keys, out = list(trie), []
+        for i, c in zip(pid[cells // cols].tolist(), (cells % cols).tolist()):
+            labels = [c] if c else []
+            while i > 1:
+                i, c = divmod(keys[i - 1], cols)
+                labels.append(c)
+            out.append((len(labels), tuple(reversed(labels))))
+        return out
+
+    # id -> first flat cell of its member's row, or of the dead row (-cols);
+    # room for every id a call can make, up to 4096, and grown past that
+    row_of = np.full(min(beam_width * grid.frames, 4096) + 2, -cols, dtype=np.intp)
+    # per member, then the dead slot: blank-ending and non-blank-ending mass,
+    # total, last label (BLANK for the root), prefix id and its parent's id
+    pb, pnb, total = np.array([0.0, LOG_ZERO]), np.full(2, LOG_ZERO), np.array([0.0, LOG_ZERO])
+    last, pid, ppid = np.zeros(2, np.intp), np.array([1, 0], np.intp), np.zeros(2, np.intp)
+
+    for row in grid.logp:
+        starts = np.arange(0, pid.size * cols, cols)
+        flat = (total[:, None] + row).ravel()
         # a repeat reaches the longer prefix only across a blank, so only the
-        # blank-ending mass grows it
-        rep = np.flatnonzero(last)
-        cand[rep, last[rep]] = pb[rep] + row[last[rep]]
-        # a member stays by a blank, or by repeating its last label; the
-        # empty prefix's non-blank mass is LOG_ZERO, so it gets no repeat
+        # blank-ending mass grows it (column 0 is rewritten below)
+        row_last = row[last]
+        flat[starts + last] = pb + row_last
+        # a member stays by a blank, or by repeating its last label
         stay_b = total + row[BLANK]
-        stay_nb = pnb + row[last]
-        # a member whose parent is also a member absorbs the parent's
-        # extension by its last label: at most one merge per member
-        index = {p: i for i, p in enumerate(prefixes)}
-        for j, p in enumerate(prefixes):
-            i = index.get(p[:-1]) if p else None
-            if i is not None:
-                stay_nb[j] = log_add(float(stay_nb[j]), float(cand[i, p[-1]]))
-                cand[i, p[-1]] = LOG_ZERO
-        # np.logaddexp is log_add bit for bit except on (-0.0, LOG_ZERO),
-        # where it gives +0.0. No mass is -0.0: each is built from the +0.0
-        # root by sums, which are -0.0 only if both terms are, and by
-        # log_adds, which return an input or add a log1p >= +0.0
-        np.logaddexp(stay_b, stay_nb, out=cand[:, BLANK])
+        stay_nb = pnb + row_last
+        row_of[pid] = starts
+        merge = row_of[ppid] + last
+        row_of[pid] = -cols
+        np.logaddexp(stay_nb, flat[merge], out=stay_nb)
+        flat[merge] = LOG_ZERO
+        np.logaddexp(stay_b, stay_nb, out=flat[::cols])
 
-        flat = cand.ravel()
-        live = flat > LOG_ZERO
-        if flat.size > beam_width:
-            # every candidate below the beam_width-th largest total loses
-            cut = flat.size - beam_width
-            live &= flat >= np.partition(flat, cut)[cut]
-        ranked = []
-        for f, score in zip(np.flatnonzero(live).tolist(), flat[live].tolist()):
-            i, c = divmod(f, cols)
-            prefix = prefixes[i] + (c,) if c else prefixes[i]
-            ranked.append((-score, len(prefix), prefix, f))
-        # prefixes are distinct, so f never takes part in the comparison
-        best = heapq.nsmallest(beam_width, ranked)
-        prefixes = [prefix for _, _, prefix, _ in best]
-        chosen = np.array([f for _, _, _, f in best], dtype=np.intp)
+        cut = flat.size - beam_width
+        thr = np.partition(flat, cut)[cut] if cut > 0 else LOG_ZERO
+        keep = flat >= thr if thr > LOG_ZERO else flat > LOG_ZERO
+        keep[-cols] = True  # the dead row's column 0: the next dead slot
+        chosen = keep.nonzero()[0]
+        if chosen.size > beam_width + 1:
+            # the shortest, then smallest, of the prefixes tied at thr fill up
+            above, tied = chosen[flat[chosen] > thr], chosen[flat[chosen] == thr]
+            tied = [f for _, f in sorted(zip(ranks(tied), tied.tolist()))]
+            chosen = np.concatenate((above, tied[:beam_width - above.size], chosen[-1:]))
         src, label = np.divmod(chosen, cols)
         stays = label == BLANK
         total = flat[chosen]
         pb = np.where(stays, stay_b[src], LOG_ZERO)
         pnb = np.where(stays, stay_nb[src], total)
         last = np.where(stays, last[src], label)
+        pid = pid[src]
+        ppid = np.where(stays, ppid[src], pid)
+        ext = label.nonzero()[0]
+        if ext.size:
+            if len(trie) + ext.size >= row_of.size:  # room for the new ids
+                row_of = np.concatenate((row_of, np.full(len(trie) + ext.size, -cols)))
+            pid[ext] = [trie.setdefault(key, len(trie) + 1)
+                        for key in (pid[ext] * cols + label[ext]).tolist()]
 
-    return [ScoredHypothesis(sequence=p, log_score=s)
-            for p, s in zip(prefixes[:k], total[:k].tolist())]
+    live = total[:-1]
+    top = np.arange(live.size)
+    if live.size > k:
+        top = (live >= np.partition(live, -k)[-k]).nonzero()[0]
+    ranked = sorted(zip((-live[top]).tolist(), ranks(top * cols)))
+    return [ScoredHypothesis(sequence=p, log_score=-s) for s, (_, p) in ranked[:k]]
 
 
 def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:

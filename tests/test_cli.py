@@ -225,6 +225,21 @@ def test_bench_traced_names_resolve():
     assert {"log_score", "generate_top_s"} <= set(vars(NGramScorer))
 
 
+def test_traced_beam_records_one_span_and_its_frames_per_grid(workdir, tmp_path):
+    """The traced bench opens one ``ctc.prefix_beam_search`` span per call
+    and counts ``args[0].frames`` of it, so a beam that took several grids
+    per call would break the traced bench: it is checked here."""
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spans.py"))
+    tracer = spans["Tracer"]()
+    with spans["Patched"](tracer):
+        assert cli.main(["beam", "--in", str(workdir / "grids.jsonl"), "--k", "2",
+                         "--out", str(tmp_path / "beam.jsonl")]) == 0
+    grids = p2g.ctc.load_grids(workdir / "grids.jsonl")
+    beams = [span.utt for span in tracer.spans if span.name == "ctc.prefix_beam_search"]
+    assert sorted(beams) == sorted(g.utterance_id for g in grids)
+    assert tracer.counters["ctc.prefix_beam_search.frames"] == sum(g.frames for g in grids)
+
+
 def test_randomized_commands_require_seed(workdir, tmp_path, capsys):
     code = cli.main(["sample", "--in", str(workdir / "grids.jsonl"),
                      "--out", str(tmp_path / "s.jsonl"), "--k", "2"])

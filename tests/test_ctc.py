@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ def test_pruned_beam_never_adds_mass(seed, beam_width, concentration):
     for h in hyps:
         assert h.log_score <= forward_logprob(g, h.sequence) + 1e-10
     assert sum(math.exp(h.log_score) for h in hyps) <= 1.0 + 1e-10
+
+
+def test_beam_memory_grows_with_its_prefixes_not_its_width():
+    """One symbol over 200 frames makes at most 201 prefixes, so a width of
+    10**4 never fills; the beam's arrays grow with the prefixes it makes,
+    where width x frames ids would take 16 MB."""
+    grid = synth.random_grid(np.random.default_rng(0), frames=200, symbols=("a",))
+    tracemalloc.start()
+    try:
+        wide = prefix_beam_search(grid, 10**4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _pairs(wide) == _pairs(prefix_beam_search(grid, 201, 4))
 
 
 def test_beam_scores_are_python_floats():

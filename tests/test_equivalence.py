@@ -13,10 +13,12 @@ explicit count of 0, so counted children tie uncounted ones at ``thr``. The
 reference grows every entry by every candidate, fully sorts each level, runs
 every one of the ``max_len + 1`` levels and recomputes each smoothed
 distribution from the raw counts. ``prefix_beam_search`` extends the whole
-beam at once as a (beam x (V+1)) numpy array, merges each member with its
-parent's extension, and selects with an ``np.partition`` threshold and
-``heapq.nsmallest``; the reference grows one prefix and one label at a time
-in dicts and fully sorts every frame. ``skm_log_marginal``
+beam at once as a (beam x (V+1)) numpy array, merges each member with the
+extension of its parent, found by prefix id, and keeps what reaches an
+``np.partition`` threshold, sorting prefixes only for a tie at the cut; the
+reference grows one prefix and one label at a time in dicts and fully sorts
+every frame. Its cases include long grids at widths 1-4, where a parent
+often drops out and comes back while its child stays. ``skm_log_marginal``
 and ``sskm_log_marginal`` build weighted hypothesis lists for
 ``tkm_log_marginal``; the references write out each estimator's own sum.
 ``forward_logprob`` computes each frame over its reachable band of states in
@@ -417,6 +419,65 @@ def test_prefix_beam_search_equals_full_sort_at_bench_shapes(seed, beam_width, k
                                  concentration=concentration)
         if kind == "one-hot":
             grid = _with_one_hot_rows(grid, rng, 0.5)
+    got = prefix_beam_search(grid, beam_width, k)
+    want = _reference_beam(grid, beam_width, k)
+    assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
+
+
+def test_prefix_beam_search_merges_a_parent_that_re_enters():
+    """At width 2, (b, a) drops out after frame 2 while its child (b, a, b)
+    stays, and comes back at frame 3 by extending (b). At frame 4 the child
+    must absorb (b, a)'s extension by b: a member finds its parent by
+    prefix, not by the member it grew from."""
+    rows = np.log([[0.3, 0.3, 0.4], [0.3, 0.5, 0.2], [0.3, 0.1, 0.6],
+                   [0.2, 0.5, 0.3], [0.3, 0.5, 0.2]])
+    beams = [[p for p, _ in _reference_beam(PosteriorGrid("u", Alphabet(("a", "b")),
+                                                          rows[:frames]), 2, 2)]
+             for frames in (3, 4)]
+    assert beams == [[(2,), (2, 1, 2)], [(2, 1), (2, 1, 2)]]
+    grid = PosteriorGrid("u", Alphabet(("a", "b")), rows)
+    for k in (1, 2):
+        got = prefix_beam_search(grid, 2, k)
+        assert _bits((h.sequence, h.log_score) for h in got) == _bits(_reference_beam(grid, 2, k))
+
+
+def test_prefix_beam_search_breaks_ties_by_length_then_prefix():
+    """Rows (blank, a, b) of weights (3, 1, 1) and (1, 2, 3) at width 2: (a)
+    and (b) tie at the cut after frame 0, and (a) keeps its place; after
+    frame 1 they tie again, (a) as a sum of two masses and (b) as one; (a) is
+    returned first, though the beam holds (b) in an earlier row."""
+    weights = np.array([[3.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+    grid = PosteriorGrid("u", Alphabet(("a", "b")),
+                         np.log(weights / weights.sum(axis=1, keepdims=True)))
+    want = _reference_beam(grid, 2, 2)
+    assert [p for p, _ in want] == [(1,), (2,)] and _same_float(want[0][1], want[1][1])
+    for k in (1, 2):
+        got = prefix_beam_search(grid, 2, k)
+        assert _bits((h.sequence, h.log_score) for h in got) == _bits(want[:k])
+
+
+def test_prefix_beam_search_equals_full_sort_past_4096_prefix_ids():
+    """200 frames over 10 symbols at width 64 make more prefix ids than the
+    id -> row table first holds, so it grows while the beam runs."""
+    grid = synth.random_grid(np.random.default_rng(5), frames=200,
+                             symbols=tuple(f"p{i}" for i in range(10)))
+    got = prefix_beam_search(grid, 64, 16)
+    assert _bits((h.sequence, h.log_score) for h in got) == _bits(_reference_beam(grid, 64, 16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       beam_width=st.integers(min_value=1, max_value=4),
+       kind=st.sampled_from(["dirichlet", "sparse", "one-hot"]))
+def test_prefix_beam_search_equals_full_sort_on_long_narrow_beams(seed, beam_width, kind):
+    """Up to 60 frames at widths 1-4 over up to 4 symbols: members often
+    outlive their parents, and a dropped parent often comes back."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, beam_width + 1))
+    grid = synth.random_grid(rng, frames=int(rng.integers(1, 61)), max_symbols=4,
+                             concentration=0.1 if kind == "sparse" else 1.0)
+    if kind == "one-hot":
+        grid = _with_one_hot_rows(grid, rng, 0.3)
     got = prefix_beam_search(grid, beam_width, k)
     want = _reference_beam(grid, beam_width, k)
     assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
