@@ -9,8 +9,9 @@ Conventions: every option can also come from a JSON ``--config`` file (flags
 win); commands that draw random numbers refuse to run without an explicit
 ``--seed``; outputs are written atomically and are byte-identical across
 reruns with the same inputs, config, and seed. Exit status 1 flags a bad
-configuration, 2 a missing or malformed input file. ``P2G_LOG`` sets the log
-level.
+configuration, 2 a missing or malformed input file, one that does not fit
+the others, or an empty one where the command reports over its records.
+``P2G_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import ctc, data, marginal, metrics
 from .decode import decode as decode_grid, load_hypotheses, save_decode_results
-from .ioutil import FormatError, atomic_write_text, read_json_object, write_jsonl
+from .ioutil import FormatError, atomic_write_text, located, read_json_object, write_jsonl
 from .scorer import load_scorer, save_scorer, train_scorer
 from .seeding import derive_rng
 from .selftest import run_selftest
@@ -147,19 +148,32 @@ def _require_seed(cfg: RunConfig) -> int:
     return cfg.seed
 
 
+def _nonempty(items: list, path: str) -> list:
+    """``items`` read from ``path``, refused when there are none: a command
+    that reports an aggregate has nothing to report for an empty file."""
+    with located(path):
+        if not items:
+            raise ValueError("the file holds no records")
+    return items
+
+
+def _matched(records, index: dict, path: str, what: str) -> list:
+    """``index[utterance id]`` for every record; ``index`` holds the ``what``s
+    read from ``path``, which must have one for every record."""
+    with located(path):
+        for rec in records:
+            if rec.utterance_id not in index:
+                raise ValueError(f"no {what} for utterance {rec.utterance_id!r}")
+    return [index[rec.utterance_id] for rec in records]
+
+
 def _refs_with_grids(args, cfg: RunConfig
                      ) -> list[tuple[data.UtteranceRecord, ctc.PosteriorGrid]]:
     """(record, grid) for every refs record, matched by utterance id."""
     grids_path = _path(args, cfg, "grids")
     index = {grid.utterance_id: grid for grid in ctc.load_grids(grids_path, cfg.renormalize)}
-    pairs = []
-    for rec in data.load_manifest(_path(args, cfg, "refs")).records:
-        grid = index.get(rec.utterance_id)
-        if grid is None:
-            raise FormatError(f"no grid for utterance {rec.utterance_id!r}",
-                              path=grids_path)
-        pairs.append((rec, grid))
-    return pairs
+    records = data.load_manifest(_path(args, cfg, "refs")).records
+    return list(zip(records, _matched(records, index, grids_path, "grid")))
 
 
 # ---- commands -----------------------------------------------------------
@@ -202,15 +216,16 @@ def cmd_score(args, cfg: RunConfig) -> int:
     seed = cfg.seed
     if method != "tkm":
         seed = _require_seed(cfg)
-    pairs = _refs_with_grids(args, cfg)
+    refs_path = _path(args, cfg, "refs")
+    pairs = _nonempty(_refs_with_grids(args, cfg), refs_path)
     model = load_scorer(_path(args, cfg, "scorer"))
-    for rec, _ in pairs:
-        # the scorer has no lid token for an unseen language, so the text
-        # cannot be scored: the refs file does not fit this scorer
-        if rec.text.lid not in model.languages:
-            raise FormatError(f"utterance {rec.utterance_id!r} has language "
-                              f"{rec.text.lid!r}, which the scorer does not know",
-                              path=_path(args, cfg, "refs"))
+    with located(refs_path):
+        for rec, _ in pairs:
+            # the scorer has no lid token for an unseen language, so the text
+            # cannot be scored: the refs file does not fit this scorer
+            if rec.text.lid not in model.languages:
+                raise ValueError(f"utterance {rec.utterance_id!r} has language "
+                                 f"{rec.text.lid!r}, which the scorer does not know")
     records = [(grid, rec.text) for rec, grid in pairs]
 
     rows = []
@@ -246,6 +261,7 @@ def cmd_decode(args, cfg: RunConfig) -> int:
 
 
 def cmd_augment(args, cfg: RunConfig) -> int:
+    refs_path = _path(args, cfg, "refs")
     pairs = _refs_with_grids(args, cfg)
     width = _beam_width(cfg, cfg.n_best)
     # oversampled copies share their source's id and grid, so each grid's
@@ -255,8 +271,9 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     for rec, grid in pairs:
         if rec.utterance_id not in beams:
             beams[rec.utterance_id] = ctc.prefix_beam_search(grid, width, cfg.n_best)
-        lines.extend(data.generate_danp(rec, beams[rec.utterance_id], grid.alphabet,
-                                        include_clean=cfg.include_clean))
+        with located(refs_path):
+            lines.extend(data.generate_danp(rec, beams[rec.utterance_id], grid.alphabet,
+                                            include_clean=cfg.include_clean))
     data.save_training_lines(lines, _path(args, cfg, "out"))
     log.info("augment: %d pairs from %d records over %d grids", len(lines),
              len(pairs), len(beams))
@@ -276,7 +293,8 @@ def cmd_balance(args, cfg: RunConfig) -> int:
 
 
 def cmd_train_scorer(args, cfg: RunConfig) -> int:
-    pairs = data.load_training_lines(_path(args, cfg, "in"))
+    in_path = _path(args, cfg, "in")
+    pairs = _nonempty(data.load_training_lines(in_path), in_path)
     model = train_scorer(pairs, order=cfg.order,
                          smoothing_alpha=cfg.smoothing_alpha,
                          context_window=cfg.context_window)
@@ -287,8 +305,10 @@ def cmd_train_scorer(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    manifest = data.load_manifest(_path(args, cfg, "refs"))
-    hyps = load_hypotheses(_path(args, cfg, "hyps"))
+    refs_path, hyps_path = _path(args, cfg, "refs"), _path(args, cfg, "hyps")
+    manifest = data.load_manifest(refs_path)
+    hyps = load_hypotheses(hyps_path)
+    _matched(_nonempty(manifest.records, refs_path), hyps, hyps_path, "hypothesis")
     report = metrics.evaluate(manifest, hyps)
     atomic_write_text(_path(args, cfg, "out"), metrics.report_to_json(report))
     if cfg.table:

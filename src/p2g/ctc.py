@@ -10,6 +10,7 @@ flows through an explicit numpy Generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,34 +129,23 @@ class ScoredHypothesis:
     log_score: float
 
 
-def collapse(path: Sequence[int], alphabet: Alphabet | None = None) -> PhonemeSequence:
+def collapse(path: Sequence[int]) -> PhonemeSequence:
     """Map a frame-level path to its phoneme sequence: merge adjacent repeats
     of non-blank labels, then drop blanks.
 
-    Index range is checked against ``alphabet`` when one is given; negative
-    indices are always rejected.
+    A negative label is refused; the alphabet's range is checked where a
+    sequence meets its alphabet, by ``Alphabet.to_symbols``.
     """
     out: list[int] = []
     prev = BLANK
-    limit = alphabet.size if alphabet is not None else None
     for raw in path:
         idx = int(raw)
-        if idx < 0 or (limit is not None and idx >= limit):
-            raise ValueError(f"label index {idx} outside alphabet range")
+        if idx < 0:
+            raise ValueError(f"label index {idx} is negative")
         if idx != BLANK and idx != prev:
             out.append(idx)
         prev = idx
     return tuple(out)
-
-
-def _checked_sequence(h: Sequence[int], alphabet: Alphabet) -> PhonemeSequence:
-    seq = tuple(int(i) for i in h)
-    for idx in seq:
-        if idx == BLANK:
-            raise ValueError("phoneme sequence must not contain the blank index")
-        if not 1 <= idx < alphabet.size:
-            raise ValueError(f"label index {idx} outside alphabet range")
-    return seq
 
 
 def forward_logprob(grid: PosteriorGrid, h: Sequence[int]) -> float:
@@ -164,7 +154,8 @@ def forward_logprob(grid: PosteriorGrid, h: Sequence[int]) -> float:
     sequence, entirely in log space.
 
     Returns LOG_ZERO when ``h`` is unreachable (for instance longer than the
-    frame count allows).
+    frame count allows). ``h`` must hold phoneme indices of the grid's
+    alphabet (``Alphabet.to_symbols``): a blank, 1.5 or too large an index raises.
 
     Frame t (0-based, of T; S = 2|h| + 1 states) is computed only over its
     band ``lo <= s < hi``, and the states outside it are skipped exactly:
@@ -184,7 +175,8 @@ def forward_logprob(grid: PosteriorGrid, h: Sequence[int]) -> float:
     ``+`` in the same order as the full recursion over all S states, so the
     result is bitwise the same.
     """
-    seq = _checked_sequence(h, grid.alphabet)
+    seq = tuple(h)
+    grid.alphabet.to_symbols(seq)
     lp = grid.logp
     frames = lp.shape[0]
 
@@ -379,23 +371,18 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
 
     Each line holds ``{"id", "symbols", "logp"}`` where ``symbols`` excludes
     the blank and ``logp`` rows are natural-log posteriors over
-    [blank] + symbols. A zero-probability cell is ``null``; the older
-    non-standard ``-Infinity`` is read as well. Ids are unique.
+    [blank] + symbols. Every cell is a JSON number, or ``null`` for a
+    zero-probability cell; any other cell is refused at its line. Ids are unique.
     """
     def parse(obj: dict) -> PosteriorGrid:
         utt_id = field(obj, "id", str)
         alphabet = Alphabet(tuple(field(obj, "symbols", list, items=str)))
-        logp = field(obj, "logp", list)
-        try:
-            matrix = np.array(logp, dtype=np.float64)
-        except TypeError as exc:
-            # a cell that is neither a number nor null
-            raise ValueError(str(exc)) from exc
-        if matrix.ndim == 2 and np.isnan(matrix).any():
-            # null became NaN; a NaN literal in the file stays NaN and
-            # is refused below
-            is_null = np.array([[v is None for v in row] for row in logp])
-            matrix[is_null] = LOG_ZERO
+        logp = field(obj, "logp", list, items=list)
+        if not set(map(type, chain.from_iterable(logp))) <= {float, int, type(None)}:
+            raise ValueError("a logp cell is neither a number nor null")
+        matrix = np.array(logp, dtype=np.float64)
+        # the line reader refuses a NaN literal, so every NaN was a null
+        matrix[np.isnan(matrix)] = LOG_ZERO
         if renormalize:
             return PosteriorGrid.renormalized(utt_id, alphabet, matrix)
         return PosteriorGrid(utt_id, alphabet, matrix)

@@ -58,6 +58,10 @@ class CorpusManifest:
         return dict(groups)
 
 
+def _has_line_break(graphemes: str) -> bool:
+    return "\n" in graphemes or "\r" in graphemes
+
+
 def serialize_training_line(phonemes: Sequence[str], text: TargetText) -> str:
     """Render one training sample as ``<ipa> p1 p2 ... | <lid:xx> graphemes``.
 
@@ -69,7 +73,7 @@ def serialize_training_line(phonemes: Sequence[str], text: TargetText) -> str:
             raise ValueError("phoneme tokens must be non-empty")
         if "|" in tok or any(ch.isspace() for ch in tok):
             raise ValueError(f"phoneme token {tok!r} contains '|' or whitespace")
-    if "\n" in text.graphemes or "\r" in text.graphemes:
+    if _has_line_break(text.graphemes):
         raise ValueError("graphemes must not contain line breaks")
     return f"{IPA_TAG} {' '.join(phonemes)} | {lid_token(text.lid)} {text.graphemes}"
 
@@ -110,8 +114,12 @@ def generate_danp(record: UtteranceRecord, hyps: Sequence[ScoredHypothesis],
 
     The n-best depends only on the grid, so oversampled copies of a record
     can share one ``prefix_beam_search`` result. ``include_clean`` appends
-    the record's reference phonemes as one extra pair.
+    the record's reference phonemes as one extra pair. A record whose text
+    has a line break, which no training line can hold, is refused.
     """
+    if _has_line_break(record.text.graphemes):
+        raise ValueError(f"utterance {record.utterance_id!r} has a line break in its "
+                         "text, which a training line cannot hold")
     pairs = [(alphabet.to_symbols(h.sequence), record.text) for h in hyps]
     if include_clean:
         pairs.append((record.phonemes, record.text))

@@ -47,18 +47,30 @@ def located(path: str | os.PathLike, line_no: int | None = None) -> Iterator[Non
         raise FormatError(str(exc), path=path, line_no=line_no) from exc
 
 
+def _line_constant(name: str) -> float:
+    if name != "-Infinity":  # the older spelling of a zero grid cell
+        raise ValueError(f"non-standard JSON constant {name}")
+    return float(name)
+
+
+# built once: json.loads with a keyword builds a new decoder on every call
+_LINE_DECODER = json.JSONDecoder(parse_constant=_line_constant)
+
+
 def iter_jsonl(path: str | os.PathLike, parse: Callable[[dict], T],
                unique: str | None = None) -> Iterator[T]:
     """Yield ``parse(obj)`` for the object on every non-blank line of a JSONL
     file; a ``ValueError`` from the line or from ``parse`` names the line. With
-    ``unique`` (say "grid id"), a line repeating an earlier ``id`` is refused."""
+    ``unique`` (say "grid id"), a line repeating an earlier ``id`` is refused.
+    The one JSON dialect of line files: ``NaN`` and ``Infinity`` are refused
+    at their line, and the legacy ``-Infinity`` is read as -inf."""
     ids: set[str] = set()
     with open(path, encoding="utf-8") as fh, located(path):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             with located(path, line_no):
-                obj = json.loads(line)
+                obj = _LINE_DECODER.decode(line)
                 if not isinstance(obj, dict):
                     raise ValueError("expected a JSON object")
                 item = parse(obj)

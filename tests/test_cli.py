@@ -279,6 +279,76 @@ def test_score_refs_with_unknown_language_exits_2(workdir, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["eval-missing-hypothesis", "augment-line-break",
+                                  "score-missing-grid", "score-unknown-language"])
+def test_input_mismatch_exits_2_naming_the_file_and_utterance(workdir, tmp_path, capsys,
+                                                              case):
+    """An input file that does not fit the others is malformed input: exit 2,
+    naming that file and the utterance that shows it."""
+    manifest, grids = workdir / "manifest.jsonl", workdir / "grids.jsonl"
+    rows = [json.loads(l) for l in manifest.read_text(encoding="utf-8").splitlines()]
+    utt_id = rows[1]["id"]
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+    score = ["score", "--scorer", str(workdir / "scorer.json"), "--method", "tkm",
+             "--k", "2"]
+    if case == "eval-missing-hypothesis":
+        _write_rows(bad, [{"id": r["id"], "lid": r["lang"], "text": r["text"]}
+                          for r in rows if r["id"] != utt_id])
+        argv = ["eval", "--refs", str(manifest), "--hyps", str(bad)]
+    elif case == "augment-line-break":
+        rows[1]["text"] += "\nmore"
+        _write_rows(bad, rows)
+        argv = ["augment", "--grids", str(grids), "--refs", str(bad)]
+    elif case == "score-missing-grid":
+        lines = grids.read_text(encoding="utf-8").splitlines()
+        bad.write_text("".join(l + "\n" for l in lines if json.loads(l)["id"] != utt_id),
+                       encoding="utf-8")
+        argv = score + ["--grids", str(bad), "--refs", str(manifest)]
+    else:
+        rows[1]["lang"] = "fr"
+        _write_rows(bad, rows)
+        argv = score + ["--grids", str(grids), "--refs", str(bad)]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"p2g: {bad}: ") and repr(utt_id) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, refused", [
+    ("beam", None), ("sample", None), ("decode", None), ("augment", None),
+    ("balance", None), ("train-scorer", "in"), ("score", "refs"), ("eval", "refs")])
+def test_empty_input(workdir, tmp_path, capsys, command, refused):
+    """Every input file but the scorer is empty. A command that maps records
+    to records writes an empty output and exits 0; one that reports over its
+    records (a scorer, a mean NLL, error rates) refuses the empty file: exit 2,
+    naming it."""
+    empty = {key: str(tmp_path / f"{key}.empty") for key in ("in", "grids", "refs", "hyps")}
+    for path in empty.values():
+        Path(path).write_text("", encoding="utf-8")
+    scorer = str(workdir / "scorer.json")
+    argv = {"beam": ["--in", empty["in"]],
+            "sample": ["--in", empty["in"], "--seed", "1"],
+            "decode": ["--grids", empty["grids"], "--scorer", scorer],
+            "augment": ["--grids", empty["grids"], "--refs", empty["refs"]],
+            "balance": ["--in", empty["in"], "--seed", "1"],
+            "train-scorer": ["--in", empty["in"]],
+            "score": ["--grids", empty["grids"], "--refs", empty["refs"],
+                      "--scorer", scorer, "--method", "tkm"],
+            "eval": ["--refs", empty["refs"], "--hyps", empty["hyps"]]}[command]
+    out = tmp_path / "out"
+    code = cli.main([command, *argv, "--out", str(out)])
+    if refused is None:
+        assert code == 0 and out.read_text(encoding="utf-8") == ""
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"p2g: {empty[refused]}: the file holds no records\n"
+        assert not out.exists()
+
+
 _SCORE = ["score", "--grids", "{w}/grids.jsonl", "--refs", "{w}/manifest.jsonl",
           "--scorer", "{w}/scorer.json", "--method", "tkm"]
 

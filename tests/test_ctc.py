@@ -106,9 +106,11 @@ def test_collapse_never_emits_blank_and_merges_runs(path):
     assert rebuilt == deduped
 
 
-def test_collapse_range_check(tiny_alphabet):
-    with pytest.raises(ValueError):
-        collapse((0, 9), tiny_alphabet)
+def test_collapse_range_check():
+    """collapse knows no alphabet, so only a negative label is out of range;
+    an index past the alphabet is refused where the sequence meets one."""
+    with pytest.raises(ValueError, match="label index -1 is negative"):
+        collapse((0, -1))
 
 
 # ---- grid validation ----------------------------------------------------
@@ -169,6 +171,17 @@ def test_forward_rejects_blank_and_out_of_range(tiny_alphabet):
         forward_logprob(g, (0,))
     with pytest.raises(ValueError):
         forward_logprob(g, (5,))
+
+
+def test_forward_refuses_a_fractional_index_and_scores_a_numpy_array():
+    """The alphabet's index rule: 1.5 is no phoneme index, where truncating
+    it would score (1,); numpy integers are phoneme indices."""
+    g = make_grid(np.random.default_rng(3), frames=4)
+    with pytest.raises(ValueError, match="index 1.5 is not a phoneme index"):
+        forward_logprob(g, (1.5,))
+    want = forward_logprob(g, (2, 1))
+    assert want > LOG_ZERO
+    assert forward_logprob(g, np.array([2, 1], dtype=np.int64)) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,6 +368,18 @@ def test_load_grids_reads_legacy_infinity_and_refuses_nan(tmp_path):
     p.write_text('{"id": "u", "symbols": ["a"], "logp": [[0.0, NaN]]}\n',
                  encoding="utf-8")
     with pytest.raises(FormatError, match="NaN"):
+        load_grids(p)
+
+
+@pytest.mark.parametrize("cell", ["false", '"-0.5"', "[0.0]"])
+def test_load_grids_refuses_a_cell_that_is_not_a_number_or_null(tmp_path, cell):
+    """A cell is a JSON number or null: false is not read as log 1, nor the
+    string as -0.5."""
+    good = '{"id": "u", "symbols": ["a"], "logp": [[null, 0.0], [-0.5, -0.9327521295671886]]}'
+    p = tmp_path / "g.jsonl"
+    p.write_text(good + "\n" + good.replace('"u"', '"v"').replace("-0.5", cell) + "\n",
+                 encoding="utf-8")
+    with pytest.raises(FormatError, match="g.jsonl, line 2: a logp cell is neither"):
         load_grids(p)
 
 

@@ -123,6 +123,18 @@ def test_load_hypotheses_rejects_duplicate_id(tmp_path):
         load_hypotheses(p)
 
 
+def test_load_hypotheses_refuses_nan_in_a_pool(tmp_path):
+    """eval reads decode output in the one JSON dialect of line files, so a
+    NaN anywhere on a line is refused, even in the pool it does not use."""
+    good = json.dumps({"id": "u1", "lid": "xx", "text": "t",
+                       "pool": [{"lid": "xx", "text": "t", "logp": -0.5}]})
+    p = tmp_path / "decoded.jsonl"
+    p.write_text(good + "\n" + good.replace('"u1"', '"u2"').replace("-0.5", "NaN") + "\n",
+                 encoding="utf-8")
+    with pytest.raises(FormatError, match="decoded.jsonl, line 2: .*NaN"):
+        load_hypotheses(p)
+
+
 def test_package_attribute_is_the_decode_module():
     import p2g
     from p2g import decode as imported

@@ -38,3 +38,23 @@ def test_file_that_is_not_utf8_is_a_format_error(tmp_path, load):
     p.write_bytes(b"\xff\xfe not utf-8\n")
     with pytest.raises(FormatError, match="latin1.txt"):
         load(p)
+
+
+_GRID = '{"id": "%s", "symbols": ["a"], "logp": [[%s, 0.0]]}'
+_RECORD = '{"id": "%s", "lang": "xx", "dur_sec": %s, "phonemes": [], "text": ""}'
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity"])
+@pytest.mark.parametrize("load, line", [(load_grids, _GRID), (load_manifest, _RECORD)],
+                         ids=["grids", "manifest"])
+def test_line_files_refuse_nan_and_infinity_at_their_line(tmp_path, load, line, constant):
+    """Every line-delimited input is read in one JSON dialect: a NaN or
+    Infinity token is refused at its line, whatever field holds it."""
+    good = {load_grids: "null", load_manifest: "1.5"}[load]
+    p = tmp_path / "in.jsonl"
+    p.write_text(line % ("u", good) + "\n" + line % ("v", constant) + "\n",
+                 encoding="utf-8")
+    with pytest.raises(FormatError, match=f"in.jsonl, line 2: non-standard JSON "
+                                          f"constant {constant}"):
+        load(p)
+
