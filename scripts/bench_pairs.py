@@ -14,7 +14,10 @@ falls on both sides. For every workload and seed the output
 
 - for each end-to-end metric that ``BENCHMARK.json`` declares: every run,
   the median and the inclusive quartiles of each side, the spread q3 - q1,
-  the change/parent ratio of the medians, and the pairs the change wins
+  the change/parent ratio of the medians, the pairs the change wins, and
+  ``claimable``: true when the change wins at least 9 in 10 of the pairs in
+  which both sides finished, and its median is better than the parent's by
+  more than the parent's spread
 - the same medians and quartiles for every per-stage time (``*_s``)
 - the failed and attempted counts of every run
 - whether every run of both sides wrote the same artifact digests, the
@@ -26,6 +29,11 @@ falls on both sides. For every workload and seed the output
 and ``code.src_lines`` of each checkout, counted as ``bench/run.py`` counts
 it. The report is always written; the exit status is 1 when a run exits
 non-zero or reports failed operations, or the digests differ.
+
+``claimable`` is necessary for claiming a gain, not sufficient: two
+checkouts of the same code can read a steady offset of a few percent. The
+median gap must also exceed that A/A offset, measured by running this script
+with ``--parent`` and ``--change`` on two clean copies of the parent.
 """
 
 from __future__ import annotations
@@ -94,6 +102,9 @@ def _compare(runs: dict[str, list[dict]], name: str, better: str | None) -> dict
         both = [(p, c) for p, c in zip(*per_side.values()) if p is not None and c is not None]
         wins = sum((c > p) if higher else (c < p) for p, c in both)
         row["change_wins"] = f"{wins}/{len(both)}"
+        # both sides have a median whenever a pair finished on both
+        row["claimable"] = bool(both) and 10 * wins >= 9 * len(both) and (
+            change - parent if higher else parent - change) > row["parent"]["spread"]
     return row
 
 

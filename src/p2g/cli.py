@@ -261,7 +261,7 @@ def cmd_decode(args, cfg: RunConfig) -> int:
 
 
 def cmd_augment(args, cfg: RunConfig) -> int:
-    refs_path = _path(args, cfg, "refs")
+    grids_path, refs_path = _path(args, cfg, "grids"), _path(args, cfg, "refs")
     pairs = _refs_with_grids(args, cfg)
     width = _beam_width(cfg, cfg.n_best)
     # oversampled copies share their source's id and grid, so each grid's
@@ -271,9 +271,9 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     for rec, grid in pairs:
         if rec.utterance_id not in beams:
             beams[rec.utterance_id] = ctc.prefix_beam_search(grid, width, cfg.n_best)
-        with located(refs_path):
-            lines.extend(data.generate_danp(rec, beams[rec.utterance_id], grid.alphabet,
-                                            include_clean=cfg.include_clean))
+        lines.extend(data.generate_danp(rec, beams[rec.utterance_id], grid.alphabet,
+                                        include_clean=cfg.include_clean,
+                                        grids_path=grids_path, refs_path=refs_path))
     data.save_training_lines(lines, _path(args, cfg, "out"))
     log.info("augment: %d pairs from %d records over %d grids", len(lines),
              len(pairs), len(beams))

@@ -131,97 +131,92 @@ class ScoredHypothesis:
 
 def collapse(path: Sequence[int]) -> PhonemeSequence:
     """Map a frame-level path to its phoneme sequence: merge adjacent repeats
-    of non-blank labels, then drop blanks.
+    of non-blank labels, then drop blanks; the one-row ``_collapse_rows``."""
+    return _collapse_rows(np.asarray(path, dtype=np.int64).reshape(1, -1))[0]
 
+
+def _collapse_rows(paths: np.ndarray) -> list[PhonemeSequence]:
+    """``collapse`` of each row of a (k, T) label array in one array pass: a
+    label is kept where it is not blank and differs from the label before it.
     A negative label is refused; the alphabet's range is checked where a
-    sequence meets its alphabet, by ``Alphabet.to_symbols``.
-    """
-    out: list[int] = []
-    prev = BLANK
-    for raw in path:
-        idx = int(raw)
-        if idx < 0:
-            raise ValueError(f"label index {idx} is negative")
-        if idx != BLANK and idx != prev:
-            out.append(idx)
-        prev = idx
-    return tuple(out)
+    sequence meets its alphabet, by ``Alphabet.to_symbols``."""
+    if (paths < 0).any():
+        raise ValueError(f"label index {paths[paths < 0][0]} is negative")
+    keep = paths != BLANK
+    keep[:, 1:] &= paths[:, 1:] != paths[:, :-1]
+    labels, ends = paths[keep].tolist(), np.cumsum(keep.sum(axis=1)).tolist()
+    return [tuple(labels[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def forward_logprob(grid: PosteriorGrid, h: Sequence[int]) -> float:
-    """Exact log-probability that a frame path drawn from the grid collapses
-    to ``h``: the standard forward recursion over the blank-interleaved label
-    sequence, entirely in log space.
+def forward_logprob(grid: PosteriorGrid, seqs: Sequence[Sequence[int]]) -> list[float]:
+    """Exact log-probability, for each ``h`` in ``seqs``, that a frame path
+    drawn from the grid collapses to ``h``: the standard forward recursion
+    over the blank-interleaved label sequence, in log space, run as one
+    padded batch. An unreachable ``h`` scores LOG_ZERO; an empty batch
+    returns ``[]``. Every ``h`` must hold phoneme indices of the grid's
+    alphabet (``Alphabet.to_symbols``): a blank, 1.5 or too large an index
+    anywhere in the batch raises.
 
-    Returns LOG_ZERO when ``h`` is unreachable (for instance longer than the
-    frame count allows). ``h`` must hold phoneme indices of the grid's
-    alphabet (``Alphabet.to_symbols``): a blank, 1.5 or too large an index raises.
+    Column j of one S_max x N state array holds the S_j = 2|h_j| + 1 states
+    of ``seqs[j]``, then pad states. A state reads only itself and the two
+    below it, so a pad state never feeds a real one. Frame t (of T) is
+    computed over the band ``lo <= s < hi`` only:
 
-    Frame t (0-based, of T; S = 2|h| + 1 states) is computed only over its
-    band ``lo <= s < hi``, and the states outside it are skipped exactly:
-
-    - ``hi = min(S, 2t + 2)``. A path advances at most two states per frame,
-      so every state from ``hi`` up is still LOG_ZERO.
-    - ``lo = max(0, S - 2(T - t))``. A state below it cannot reach state
-      S - 1 or S - 2 by the last frame, so it never feeds the total. The next
-      band starts two states higher and reads at most two states back, so it
-      reads only states computed at frame t.
+    - ``hi = min(S_max, 2t + 2)``: a path advances at most two states per
+      frame, so every state from ``hi`` up is still LOG_ZERO.
+    - ``lo = max(0, S_min - 2(T - t))``. A state below ``S_j - 2(T - t)``
+      cannot reach sequence j's last two states by the last frame, so
+      whatever it holds, it feeds only states like it. The next band starts
+      two states higher and reads at most two states back.
     - The skip from s - 2 is applied to label states (odd s >= 3) only,
       through a 0 / LOG_ZERO mask that also blocks repeated labels. On any
       other state it would be ``logaddexp(x, LOG_ZERO)``, which is ``x`` bit
       for bit: ``x`` comes out of the first ``logaddexp``, never as -0.0.
 
-    Every state that feeds the total gets the same two ``logaddexp``s and
-    ``+`` in the same order as the full recursion over all S states, so the
-    result is bitwise the same.
+    Emissions are gathered per frame over the band. Every state that feeds a
+    total gets the same ``logaddexp``s and ``+`` in the same order as in the
+    recursion over that sequence alone, so each total is bitwise the same.
     """
-    seq = tuple(h)
-    grid.alphabet.to_symbols(seq)
-    lp = grid.logp
-    frames = lp.shape[0]
+    seqs = [tuple(h) for h in seqs]
+    grid.alphabet.to_symbols(chain.from_iterable(seqs))
+    if not seqs:
+        return []
+    lp, frames = grid.logp, grid.frames
+    ends = np.array([2 * len(h) for h in seqs])
+    states, floor = int(ends.max()) + 1, int(ends.min()) + 1
 
-    # state s: even -> blank, odd -> seq[s // 2]
-    ext = np.empty(2 * len(seq) + 1, dtype=np.int64)
-    ext[0::2] = BLANK
-    ext[1::2] = seq
-    states = ext.shape[0]
+    # column j: state s of seqs[j]; even s -> blank, odd s -> seqs[j][s // 2]
+    ext = np.zeros((states, len(seqs)), dtype=np.int64)
+    for j, h in enumerate(seqs):
+        ext[1:2 * len(h):2, j] = h
 
     # added to alpha[s - 2] on label states s >= 3 only; its 0.0 turns -0.0
     # into +0.0, which a logaddexp whose x is never -0.0 cannot tell apart
-    skip = np.full(states, LOG_ZERO)
+    skip = np.full(ext.shape, LOG_ZERO)
     skip[3::2][ext[3::2] != ext[1:-2:2]] = 0.0
 
-    emit = lp[:, ext]
     # two buffers in turn: a state is first written at the frame whose band
     # reaches it, so above the band both hold LOG_ZERO; below it they hold
-    # stale values that no band reads
-    alpha = np.full(states, LOG_ZERO)
-    prev = np.full(states, LOG_ZERO)
-    alpha[:2] = emit[0, :2]
+    # stale values that feed no total
+    alpha, prev = np.full((2, *ext.shape), LOG_ZERO)
+    alpha[:2] = lp[0].take(ext[:2])
     for t in range(1, frames):
         prev, alpha = alpha, prev
-        # plain comparisons, not max/min: this runs once per frame per sequence
-        lo = states - 2 * (frames - t)
-        if lo < 0:
-            lo = 0
-        hi = 2 * t + 2
-        if hi > states:
-            hi = states
+        lo, hi = max(floor - 2 * (frames - t), 0), min(2 * t + 2, states)
         if lo == 0:
             alpha[0] = prev[0]
         one = lo or 1
         np.logaddexp(prev[one:hi], prev[one - 1:hi - 1], alpha[one:hi])
-        first = lo if lo > 3 else 3
+        first = max(lo, 3)
         if first < hi:
             label = alpha[first:hi:2]
             np.logaddexp(label, prev[first - 2:hi - 2:2] + skip[first:hi:2], label)
         band = alpha[lo:hi]
-        np.add(band, emit[t, lo:hi], band)
+        np.add(band, lp[t].take(ext[lo:hi]), band)
 
-    total = float(alpha[-1])
-    if states > 1:
-        total = log_add(total, float(alpha[-2]))
-    return total
+    cols = np.arange(len(seqs))
+    last, before = alpha[ends, cols].tolist(), alpha[ends - 1, cols].tolist()
+    return [log_add(a, b) if end else a for a, b, end in zip(last, before, ends.tolist())]
 
 
 def _row_cdf(grid: PosteriorGrid, temperature: float) -> np.ndarray:
@@ -254,8 +249,7 @@ def sample_k_hypotheses(grid: PosteriorGrid, k: int, rng: np.random.Generator,
                         temperature: float = 1.0) -> list[PhonemeSequence]:
     """The k sampled paths of sample_paths, each collapsed; duplicates are
     preserved."""
-    paths = sample_paths(grid, k, rng, temperature)
-    return [collapse(row) for row in paths]
+    return _collapse_rows(sample_paths(grid, k, rng, temperature))
 
 
 def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[ScoredHypothesis]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,17 +63,24 @@ def _has_line_break(graphemes: str) -> bool:
     return "\n" in graphemes or "\r" in graphemes
 
 
+def _unwritable_token(tokens: Iterable[str]) -> str | None:
+    """The first phoneme token that a training line cannot hold, one that is
+    empty or has whitespace or '|'; None when there is none."""
+    for tok in tokens:
+        if not tok or "|" in tok or any(map(str.isspace, tok)):
+            return tok
+    return None
+
+
 def serialize_training_line(phonemes: Sequence[str], text: TargetText) -> str:
     """Render one training sample as ``<ipa> p1 p2 ... | <lid:xx> graphemes``.
 
     Phoneme tokens may not be empty or contain whitespace or '|'; graphemes
     may not contain line breaks. Everything else round-trips verbatim.
     """
-    for tok in phonemes:
-        if not tok:
-            raise ValueError("phoneme tokens must be non-empty")
-        if "|" in tok or any(ch.isspace() for ch in tok):
-            raise ValueError(f"phoneme token {tok!r} contains '|' or whitespace")
+    bad = _unwritable_token(phonemes)
+    if bad is not None:
+        raise ValueError(f"phoneme token {bad!r} is empty or contains '|' or whitespace")
     if _has_line_break(text.graphemes):
         raise ValueError("graphemes must not contain line breaks")
     return f"{IPA_TAG} {' '.join(phonemes)} | {lid_token(text.lid)} {text.graphemes}"
@@ -107,21 +115,34 @@ def parse_training_line(line: str) -> tuple[tuple[str, ...], TargetText]:
 
 
 def generate_danp(record: UtteranceRecord, hyps: Sequence[ScoredHypothesis],
-                  alphabet: Alphabet,
-                  include_clean: bool = False) -> list[tuple[tuple[str, ...], TargetText]]:
+                  alphabet: Alphabet, include_clean: bool = False, *,
+                  grids_path=None, refs_path=None
+                  ) -> list[tuple[tuple[str, ...], TargetText]]:
     """Noisy training pairs: the utterance's n-best phoneme hypotheses, in
     beam-rank order, each paired with the record's own clean text.
 
     The n-best depends only on the grid, so oversampled copies of a record
     can share one ``prefix_beam_search`` result. ``include_clean`` appends
-    the record's reference phonemes as one extra pair. A record whose text
-    has a line break, which no training line can hold, is refused.
+    the record's reference phonemes as one extra pair. What no training line
+    can hold is refused, naming the utterance and the file it came from: a
+    line break in the text or a bad reference token at ``refs_path``, a bad
+    n-best token (a grid symbol) at ``grids_path``.
     """
+    def refuse(path, what: str) -> None:
+        with located(path):
+            raise ValueError(f"utterance {record.utterance_id!r} has {what}, "
+                             "which a training line cannot hold")
+
     if _has_line_break(record.text.graphemes):
-        raise ValueError(f"utterance {record.utterance_id!r} has a line break in its "
-                         "text, which a training line cannot hold")
+        refuse(refs_path, "a line break in its text")
     pairs = [(alphabet.to_symbols(h.sequence), record.text) for h in hyps]
+    bad = _unwritable_token(dict.fromkeys(chain.from_iterable(p for p, _ in pairs)))
+    if bad is not None:
+        refuse(grids_path, f"the n-best phoneme token {bad!r}")
     if include_clean:
+        bad = _unwritable_token(record.phonemes)
+        if bad is not None:
+            refuse(refs_path, f"the reference phoneme token {bad!r}")
         pairs.append((record.phonemes, record.text))
     return pairs
 

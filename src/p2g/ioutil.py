@@ -30,9 +30,10 @@ class FormatError(ValueError):
 
 
 @contextmanager
-def located(path: str | os.PathLike, line_no: int | None = None) -> Iterator[None]:
+def located(path: str | os.PathLike | None, line_no: int | None = None) -> Iterator[None]:
     """Turn a ``ValueError`` raised in the block into a ``FormatError`` at
-    ``path`` and ``line_no``; a ``FormatError`` passes through unchanged.
+    ``path`` (None: no file known) and ``line_no``; a ``FormatError`` passes
+    through unchanged.
 
     Invalid JSON with no ``line_no`` given is placed at the decoder's line.
     An ``OverflowError`` is bad input too: a JSON integer too big for a float."""

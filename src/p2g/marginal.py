@@ -65,7 +65,7 @@ def skm_log_marginal(grid: PosteriorGrid, y: TargetText, scorer: ConditionalScor
     if k < 1:
         raise ValueError("k must be >= 1")
     distinct = sorted(set(ctc.sample_k_hypotheses(grid, k, rng)))
-    hyps = [ScoredHypothesis(h, ctc.forward_logprob(grid, h)) for h in distinct]
+    hyps = list(map(ScoredHypothesis, distinct, ctc.forward_logprob(grid, distinct)))
     return tkm_log_marginal(hyps, y, scorer, grid.alphabet)
 
 

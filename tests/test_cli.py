@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import logging
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -315,6 +316,25 @@ def test_input_mismatch_exits_2_naming_the_file_and_utterance(workdir, tmp_path,
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"p2g: {bad}: ") and repr(utt_id) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["grids", "refs"])
+def test_augment_refuses_an_unwritable_token_naming_its_file(tmp_path, capsys, source):
+    """A phoneme token with whitespace cannot go on a training line: exit 2,
+    naming the utterance and the file the token came from, the grids file for
+    an n-best token and the refs file for an ``--include-clean`` one."""
+    grids, refs, out = tmp_path / "grids.jsonl", tmp_path / "refs.jsonl", tmp_path / "out"
+    symbols, phonemes = (["a b", "c"], ["c"]) if source == "grids" else (["a", "c"], ["a b"])
+    row = [math.log(0.1), math.log(0.8), math.log(0.1)]
+    _write_rows(grids, [{"id": "u1", "symbols": symbols, "logp": [row, row, row]}])
+    _write_rows(refs, [{"id": "u1", "lang": "xx", "dur_sec": 1.0, "phonemes": phonemes,
+                        "text": "t"}])
+    assert cli.main(["augment", "--grids", str(grids), "--refs", str(refs), "--n-best", "2",
+                     "--include-clean", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    bad = grids if source == "grids" else refs
+    assert err.startswith(f"p2g: {bad}: ") and "'u1'" in err and "'a b'" in err
     assert not out.exists()
 
 
@@ -636,8 +656,8 @@ def test_selftest_catches_forward_mutation(monkeypatch, capsys):
     against the checks silently testing nothing."""
     real = p2g.ctc.forward_logprob
 
-    def skewed(grid, h):
-        return real(grid, h) + 1e-3
+    def skewed(grid, seqs):
+        return [lp + 1e-3 for lp in real(grid, seqs)]
 
     monkeypatch.setattr(p2g.ctc, "forward_logprob", skewed)
     assert cli.main(["selftest"]) == 1
@@ -722,3 +742,45 @@ def test_bench_pairs_keeps_failed_runs(tmp_path):
     assert report["utt_per_s"]["change_wins"] == "2/2"
     assert report["failed"]["parent"] == [0, None, 0]
     assert report["digests_identical"] and report["stages"]["decode_s"]["ratio"] == 1.0
+
+
+
+_FAKE_SERIES = '''import json, pathlib
+count = pathlib.Path(__file__).with_name("count")
+n = int(count.read_text()) if count.exists() else 0
+count.write_text(str(n + 1))
+for name, values in {series}.items():
+    print(name, values[n], "1")
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0}}))
+'''
+
+
+def test_bench_pairs_claimable_needs_nine_in_ten_wins_and_a_gap_over_the_spread(tmp_path):
+    """A metric is claimable when the change wins at least 9 of 10 pairs and
+    its median beats the parent's by more than the parent's q3 - q1."""
+    # name: better, parent runs, change runs, change wins, claimable
+    cases = {
+        "all_won": ("higher", [2.0] * 10, [3.0] * 10, "10/10", True),
+        "nine_won": ("higher", [2.0] * 10, [3.0] * 9 + [1.0], "9/10", True),
+        "eight_won": ("higher", [2.0] * 10, [3.0] * 8 + [1.0] * 2, "8/10", False),
+        # every pair won, but by less than the parent's own q3 - q1 (4.5)
+        "within_spread": ("higher", list(range(1, 11)), [v + 0.5 for v in range(1, 11)],
+                          "10/10", False),
+        "lower_won": ("lower", [3.0] * 10, [2.0] * 10, "10/10", True),
+    }
+    checkouts = {}
+    for i, side in enumerate(("parent", "change")):
+        root = checkouts[side] = tmp_path / side
+        (root / "bench").mkdir(parents=True)
+        series = {name: case[1 + i] for name, case in cases.items()}
+        (root / "bench" / "run.py").write_text(_FAKE_SERIES.format(series=series))
+        (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": name, "better": case[0]} for name, case in cases.items()]}))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    out = tmp_path / "report.json"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+                 "--workloads", "decode", "--pairs", "10", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["workloads"]["decode"]["seed_1"]
+    for name, (*_, wins, claimable) in cases.items():
+        assert (report[name]["change_wins"], report[name]["claimable"]) == (wins, claimable)

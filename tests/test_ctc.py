@@ -66,7 +66,7 @@ def test_blank_only_alphabet_is_degenerate_but_usable(tiny_alphabet):
     empty = Alphabet(())
     assert empty.size == 1 and len(empty.symbols) == 0
     g = PosteriorGrid("u", empty, np.zeros((3, 1)))
-    assert forward_logprob(g, ()) == pytest.approx(0.0, abs=1e-12)
+    assert forward_logprob(g, [()])[0] == pytest.approx(0.0, abs=1e-12)
     assert _pairs(prefix_beam_search(g, 4, 2)) == [((), 0.0)]
     # every label cell LOG_ZERO: the blank path is the only one
     logp = np.full((3, tiny_alphabet.size), LOG_ZERO)
@@ -155,22 +155,22 @@ def test_forward_empty_sequence_is_blank_product(tiny_alphabet):
     probs = np.array([[0.6, 0.3, 0.1], [0.5, 0.25, 0.25], [0.9, 0.05, 0.05]])
     g = PosteriorGrid("u", tiny_alphabet, np.log(probs))
     want = math.log(0.6 * 0.5 * 0.9)
-    assert forward_logprob(g, ()) == pytest.approx(want, abs=1e-12)
+    assert forward_logprob(g, [()])[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_forward_unreachable_is_log_zero(tiny_alphabet):
     probs = np.full((2, 3), 1.0 / 3.0)
     g = PosteriorGrid("u", tiny_alphabet, np.log(probs))
-    assert forward_logprob(g, (1, 1, 1)) == LOG_ZERO  # needs >= 5 frames
-    assert forward_logprob(g, (1, 1)) == LOG_ZERO     # repeat needs a blank
+    assert forward_logprob(g, [(1, 1, 1)])[0] == LOG_ZERO  # needs >= 5 frames
+    assert forward_logprob(g, [(1, 1)])[0] == LOG_ZERO     # repeat needs a blank
 
 
 def test_forward_rejects_blank_and_out_of_range(tiny_alphabet):
     g = PosteriorGrid("u", tiny_alphabet, np.log(np.full((2, 3), 1.0 / 3.0)))
     with pytest.raises(ValueError):
-        forward_logprob(g, (0,))
+        forward_logprob(g, [(0,)])
     with pytest.raises(ValueError):
-        forward_logprob(g, (5,))
+        forward_logprob(g, [(5,)])
 
 
 def test_forward_refuses_a_fractional_index_and_scores_a_numpy_array():
@@ -178,10 +178,10 @@ def test_forward_refuses_a_fractional_index_and_scores_a_numpy_array():
     it would score (1,); numpy integers are phoneme indices."""
     g = make_grid(np.random.default_rng(3), frames=4)
     with pytest.raises(ValueError, match="index 1.5 is not a phoneme index"):
-        forward_logprob(g, (1.5,))
-    want = forward_logprob(g, (2, 1))
+        forward_logprob(g, [(1.5,)])
+    want = forward_logprob(g, [(2, 1)])[0]
     assert want > LOG_ZERO
-    assert forward_logprob(g, np.array([2, 1], dtype=np.int64)) == want
+    assert forward_logprob(g, [np.array([2, 1], dtype=np.int64)])[0] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +192,7 @@ def test_forward_matches_enumeration(seed):
     dist = oracles.sequence_distribution(g)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
     for seq, p in dist.items():
-        assert forward_logprob(g, seq) == pytest.approx(math.log(p), abs=1e-10)
+        assert forward_logprob(g, [seq])[0] == pytest.approx(math.log(p), abs=1e-10)
 
 
 # ---- sampling -----------------------------------------------------------
@@ -304,7 +304,7 @@ def test_pruned_beam_never_adds_mass(seed, beam_width, concentration):
                           concentration=concentration)
     hyps = prefix_beam_search(g, beam_width, beam_width)
     for h in hyps:
-        assert h.log_score <= forward_logprob(g, h.sequence) + 1e-10
+        assert h.log_score <= forward_logprob(g, [h.sequence])[0] + 1e-10
     assert sum(math.exp(h.log_score) for h in hyps) <= 1.0 + 1e-10
 
 

@@ -21,13 +21,14 @@ every frame. Its cases include long grids at widths 1-4, where a parent
 often drops out and comes back while its child stays. ``skm_log_marginal``
 and ``sskm_log_marginal`` build weighted hypothesis lists for
 ``tkm_log_marginal``; the references write out each estimator's own sum.
-``forward_logprob`` computes each frame over its reachable band of states in
-two alternating buffers, and skips from s - 2 on label states only; the
-reference copies alpha, indexes the emissions every frame and runs every
-state. The beam's blank merge is one ``np.logaddexp``, which differs from
-``log_add`` only on a -0.0 mass, so the beam cases include one-hot rows whose
-cell is -0.0. ``train_scorer`` walks each distinct pair
-once and adds its multiplicity; the reference counts pair by pair.
+``forward_logprob`` scores a whole batch in one padded state array, each
+frame over the batch's band of states in two alternating buffers, and skips
+from s - 2 on label states only; the reference scores one sequence, copies
+alpha, indexes the emissions every frame and runs every state. The beam's
+blank merge is one ``np.logaddexp``, which differs from ``log_add`` only on
+a -0.0 mass, so the beam cases include one-hot rows whose cell is -0.0.
+``train_scorer`` walks each distinct pair once and adds its multiplicity;
+the reference counts pair by pair.
 ``log_score``, ``step_log_probs`` and ``train_scorer`` take every step's
 state key from one ``_keys`` walk, and ``generate_top_s`` takes each level's
 window from the same ``_windows``; the reference is ``_state_key`` called
@@ -488,7 +489,7 @@ def test_prefix_beam_search_equals_full_sort_on_long_narrow_beams(seed, beam_wid
 
 def _reference_skm(grid, y, scorer, k, rng):
     distinct = sorted(set(sample_k_hypotheses(grid, k, rng)))
-    terms = [forward_logprob(grid, h) + scorer.log_score(y, grid.alphabet.to_symbols(h))
+    terms = [forward_logprob(grid, [h])[0] + scorer.log_score(y, grid.alphabet.to_symbols(h))
              for h in distinct]
     return log_sum(terms)
 
@@ -574,8 +575,8 @@ def test_forward_logprob_equals_copied_alpha_recursion(seed, concentration):
         length = int(rng.integers(0, grid.frames + 3))
         seqs.append(tuple(int(c) for c in rng.integers(1, symbols + 1, size=length)))
     for h in seqs:
-        assert forward_logprob(grid, h) == _reference_forward(grid, h)
-    assert forward_logprob(grid, seqs[1]) == LOG_ZERO
+        assert forward_logprob(grid, [h])[0] == _reference_forward(grid, h)
+    assert forward_logprob(grid, [seqs[1]])[0] == LOG_ZERO
 
 
 @settings(max_examples=150, deadline=None)
@@ -607,7 +608,56 @@ def test_forward_logprob_band_equals_full_recursion(seed, frames, symbols, one_h
         else:
             seqs.append(tuple(int(c) for c in rng.integers(1, symbols + 1, size=length)))
     for h in seqs:
-        assert _same_float(forward_logprob(grid, h), _reference_forward(grid, h))
+        assert _same_float(forward_logprob(grid, [h])[0], _reference_forward(grid, h))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       frames=st.integers(min_value=1, max_value=30),
+       symbols=st.sampled_from([1, 2, 3, 100]),
+       concentration=st.sampled_from([0.05, 0.5, 2.0]),
+       one_hot=st.sampled_from([0.0, 0.3, 1.0]))
+def test_forward_logprob_batch_equals_each_sequence_alone(seed, frames, symbols,
+                                                          concentration, one_hot):
+    """One batch mixes lengths 0 to frames + 2, in random order: the empty
+    sequence, one that needs more frames than the grid has (n copies of a
+    label need 2n - 1), the argmax path's sequence and random ones, with
+    repeated labels common at V = 1 and 2. Short sequences get pad states
+    above their last state; without the empty sequence the band's lower edge
+    rises, set by the shortest. A small concentration leaves -inf cells,
+    one-hot rows -0.0 ones, and a grid of certain blanks scores the empty
+    sequence -0.0. Each entry is bitwise the reference recursion and the
+    sequence scored alone; a bad index anywhere refuses the batch."""
+    rng = np.random.default_rng(seed)
+    grid = synth.random_grid(rng, frames=frames, concentration=concentration,
+                             symbols=tuple(f"p{i}" for i in range(symbols)))
+    grid = _with_one_hot_rows(grid, rng, one_hot)
+    unreachable = (1,) * ((frames + 1) // 2 + 1)
+    seqs = [(), unreachable, collapse(np.argmax(grid.logp, axis=1))]
+    for _ in range(int(rng.integers(1, 8))):
+        length = int(rng.integers(0, frames + 3))
+        seqs.append(tuple(int(c) for c in rng.integers(1, symbols + 1, size=length)))
+    seqs = [seqs[i] for i in rng.permutation(len(seqs))]
+    for batch in (seqs, [h for h in seqs if h]):
+        got = forward_logprob(grid, batch)
+        assert len(got) == len(batch)
+        for h, lp in zip(batch, got):
+            assert _same_float(lp, _reference_forward(grid, h))
+            assert _same_float(lp, forward_logprob(grid, [h])[0])
+        assert got[batch.index(unreachable)] == LOG_ZERO
+    # every frame certain to be blank: the empty sequence scores -0.0
+    certain = PosteriorGrid("u", grid.alphabet, np.where(
+        np.arange(grid.alphabet.size) == BLANK, -0.0, np.full(grid.logp.shape, LOG_ZERO)))
+    for h, lp in zip(seqs, forward_logprob(certain, seqs)):
+        assert _same_float(lp, _reference_forward(certain, h))
+    assert forward_logprob(grid, []) == []
+    for bad in (BLANK, 1.5, symbols + 1):
+        at = int(rng.integers(len(seqs)))
+        h = seqs[at]
+        cut = int(rng.integers(len(h) + 1))
+        broken = seqs[:at] + [h[:cut] + (bad,) + h[cut:]] + seqs[at + 1:]
+        with pytest.raises(ValueError, match="is not a phoneme index"):
+            forward_logprob(grid, broken)
 
 
 # ---- reference: train_scorer counting one pair at a time ------------------

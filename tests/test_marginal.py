@@ -23,7 +23,7 @@ Y = TargetText("xx", "abc")
 
 def full_hypothesis_list(grid):
     dist = oracles.sequence_distribution(grid)
-    return [ScoredHypothesis(seq, forward_logprob(grid, seq)) for seq in sorted(dist)]
+    return [ScoredHypothesis(seq, forward_logprob(grid, [seq])[0]) for seq in sorted(dist)]
 
 
 # ---- tkm ----------------------------------------------------------------
