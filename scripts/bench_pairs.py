@@ -2,25 +2,33 @@
 """Time a change against its parent with alternating benchmark runs.
 
     mkdir -p /tmp/pairs && git archive PARENT_REV --prefix=parent/ | tar -x -C /tmp/pairs
+    git archive PARENT_REV --prefix=control/ | tar -x -C /tmp/pairs
     python3 scripts/bench_pairs.py --parent /tmp/pairs/parent --change . \\
+        --control /tmp/pairs/control \\
         --workloads train-score decode large-grid --seeds 1 7 --out /tmp/pairs/result.json
 
 Each of ``--pairs`` pairs (10 by default) runs ``bench/run.py --workload W
 --seed S --trace 0``, with the ``run_seconds`` of ``BENCHMARK.json``, once in
-each checkout, each run a fresh process and one run at a time; the side that
-runs first alternates from pair to pair, so a slow spell of a shared machine
-falls on both sides. For every workload and seed the output
-(``workloads[W]["seed_S"]``) holds:
+each checkout, each run a fresh process and one run at a time. The order
+within a pair is parent, change (, control), reversed on every other pair,
+so each side runs before each other side in half the pairs and a slow spell
+of a shared machine falls on all of them. ``--control`` names a second clean
+copy of the parent: an A/A control, whose gap to the parent is the offset
+that two checkouts of the same code read. For every workload and seed the
+output (``workloads[W]["seed_S"]``) holds:
 
 - for each end-to-end metric that ``BENCHMARK.json`` declares: every run,
   the median and the inclusive quartiles of each side, the spread q3 - q1,
   the change/parent ratio of the medians, the pairs the change wins, and
   ``claimable``: true when the change wins at least 9 in 10 of the pairs in
   which both sides finished, and its median is better than the parent's by
-  more than the parent's spread
+  more than the parent's spread and, with a control, by more than the
+  control's absolute gap to the parent. With a control the row also holds
+  ``aa_ratio``, the control/parent ratio of the medians, and ``aa_wins``,
+  the pairs the control wins over the parent
 - the same medians and quartiles for every per-stage time (``*_s``)
 - the failed and attempted counts of every run
-- whether every run of both sides wrote the same artifact digests, the
+- whether every run of every side wrote the same artifact digests, the
   digests themselves, and the baseline digest notes ``bench/run.py`` printed
 - every run that exited non-zero, with its side, pair, exit code and the
   tail of its stderr; the other runs still go on, and the statistics above
@@ -30,9 +38,9 @@ and ``code.src_lines`` of each checkout, counted as ``bench/run.py`` counts
 it. The report is always written; the exit status is 1 when a run exits
 non-zero or reports failed operations, or the digests differ.
 
-``claimable`` is necessary for claiming a gain, not sufficient: two
-checkouts of the same code can read a steady offset of a few percent. The
-median gap must also exceed that A/A offset, measured by running this script
+A gain or a loss is claimed only when the median gap exceeds both the
+parent's spread and the A/A offset; without ``--control``, ``claimable``
+checks the spread alone, and the offset must come from a run of this script
 with ``--parent`` and ``--change`` on two clean copies of the parent.
 """
 
@@ -45,7 +53,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SIDES = ("parent", "change")
+
+def _sides(args) -> tuple[str, ...]:
+    return ("parent", "change") + (("control",) if args.control else ())
 
 
 def _src_lines(checkout: Path) -> int:
@@ -88,34 +98,45 @@ def _side(values: list[float]) -> dict:
 
 def _compare(runs: dict[str, list[dict]], name: str, better: str | None) -> dict:
     """Each side's statistics of ``name`` over its finished runs (None if it
-    has none); wins count the pairs in which both sides finished."""
-    per_side = {side: [None if "exit" in r else r["values"][name] for r in runs[side]]
-                for side in SIDES}
+    has none); wins count the pairs in which a side and the parent finished."""
+    per_side = {side: [None if "exit" in r else r["values"][name] for r in side_runs]
+                for side, side_runs in runs.items()}
     row: dict = {"better": better} if better else {}
     for side, values in per_side.items():
         finished = [v for v in values if v is not None]
         row[side] = _side(finished) if finished else None
-    parent, change = (row[side] and row[side]["median"] for side in SIDES)
-    row["ratio"] = round(change / parent, 4) if parent and change is not None else None
+    median = {side: row[side] and row[side]["median"] for side in runs}
+    parent = median["parent"]
+    for side, key in (("change", "ratio"), ("control", "aa_ratio")):
+        if side in runs:
+            row[key] = round(median[side] / parent, 4) if parent and median[side] is not None \
+                else None
     if better:
-        higher = better == "higher"
-        both = [(p, c) for p, c in zip(*per_side.values()) if p is not None and c is not None]
-        wins = sum((c > p) if higher else (c < p) for p, c in both)
-        row["change_wins"] = f"{wins}/{len(both)}"
+        sign, tally = 1 if better == "higher" else -1, {}
+        for side, key in (("change", "change_wins"), ("control", "aa_wins")):
+            if side in runs:
+                gaps = [sign * (c - p) for p, c in zip(per_side["parent"], per_side[side])
+                        if p is not None and c is not None]
+                tally[side] = (sum(gap > 0 for gap in gaps), len(gaps))
+                row[key] = "%d/%d" % tally[side]
+        won, both = tally["change"]
         # both sides have a median whenever a pair finished on both
-        row["claimable"] = bool(both) and 10 * wins >= 9 * len(both) and (
-            change - parent if higher else parent - change) > row["parent"]["spread"]
+        gap = sign * (median["change"] - parent) if both else None
+        row["claimable"] = bool(both) and 10 * won >= 9 * both and gap > row["parent"]["spread"]
+        if "control" in runs:
+            row["claimable"] = row["claimable"] and bool(tally["control"][1]) and \
+                gap > abs(median["control"] - parent)
     return row
 
 
 def _workload(args, workload: str, seed: int, spec: dict) -> dict:
     end_to_end = spec["end_to_end"]
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    checkouts = {"parent": args.parent, "change": args.change}
+    sides = _sides(args)
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
     failed_runs = []
     for i in range(args.pairs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            run = _run(checkouts[side], workload, seed, spec["run_seconds"])
+        for side in sides if i % 2 == 0 else sides[::-1]:
+            run = _run(getattr(args, side), workload, seed, spec["run_seconds"])
             runs[side].append(run)
             head = f"{workload} seed {seed} pair {i + 1} {side}: "
             if "exit" in run:
@@ -126,7 +147,7 @@ def _workload(args, workload: str, seed: int, spec: dict) -> dict:
             print(head + " ".join(f"{m['name']}={run['values'][m['name']]:.6g}"
                                   for m in end_to_end)
                   + f" failed={run['result']['failed']}", file=sys.stderr, flush=True)
-    finished = [run for side in SIDES for run in runs[side] if "exit" not in run]
+    finished = [run for side in sides for run in runs[side] if "exit" not in run]
     declared = {m["name"] for m in end_to_end}
     stages = sorted(name for name in (finished[0]["values"] if finished else ())
                     if name.endswith("_s") and not name.startswith("wall_")
@@ -137,7 +158,7 @@ def _workload(args, workload: str, seed: int, spec: dict) -> dict:
         **{m["name"]: _compare(runs, m["name"], m["better"]) for m in end_to_end},
         "stages": {name: _compare(runs, name, None) for name in stages},
         **{key: {side: [None if "exit" in r else r["result"][key] for r in runs[side]]
-                 for side in SIDES} for key in ("failed", "attempted")},
+                 for side in sides} for key in ("failed", "attempted")},
         "digests_identical": all(d == digests[0] for d in digests),
         "digests": digests[0] if digests else None,
         "baseline_digest_check": sorted({n for r in finished for n in r["notes"]}),
@@ -149,6 +170,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
+    parser.add_argument("--control", type=Path, help="a second clean copy of the parent")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
@@ -156,24 +178,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    args.parent, args.change = args.parent.resolve(), args.change.resolve()
+    for side in _sides(args):
+        setattr(args, side, getattr(args, side).resolve())
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     report = {
         "command": f"python3 bench/run.py --workload W --seed S --seconds "
                    f"{spec['run_seconds']:g} --trace 0",
-        "method": "Alternating parent/change pairs, each run a fresh process, one run at "
-                  "a time; the side that runs first alternates from pair to pair. "
+        "method": "Alternating pairs, each run a fresh process, one run at a time, in "
+                  "the order parent, change (, control), reversed on every other pair. "
                   "Quartiles are the inclusive quartiles of one side's runs; "
-                  "spread = q3 - q1; change_wins counts the pairs where the change is "
-                  "better.",
-        "code.src_lines": {side: _src_lines(getattr(args, side)) for side in SIDES},
+                  "spread = q3 - q1; change_wins (aa_wins) counts the pairs where the "
+                  "change (the control, a second copy of the parent) is better.",
+        "code.src_lines": {side: _src_lines(getattr(args, side)) for side in _sides(args)},
         "workloads": {w: {f"seed_{s}": _workload(args, w, s, spec)
                           for s in args.seeds} for w in args.workloads},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     ok = all(r["digests_identical"] and not r["failed_runs"]
-             and not any(r["failed"]["parent"] + r["failed"]["change"])
+             and not any(n for counts in r["failed"].values() for n in counts)
              for w in report["workloads"].values() for r in w.values())
     return 0 if ok else 1
 

@@ -78,12 +78,15 @@ def serialize_training_line(phonemes: Sequence[str], text: TargetText) -> str:
     Phoneme tokens may not be empty or contain whitespace or '|'; graphemes
     may not contain line breaks. Everything else round-trips verbatim.
     """
-    bad = _unwritable_token(phonemes)
-    if bad is not None:
-        raise ValueError(f"phoneme token {bad!r} is empty or contains '|' or whitespace")
+    # str.split() breaks at exactly the str.isspace characters and drops empty
+    # pieces, so it gives back the tokens only when none is empty or has whitespace
+    joined = " ".join(phonemes)
+    if "|" in joined or joined.split() != list(phonemes):
+        raise ValueError(f"phoneme token {_unwritable_token(phonemes)!r} "
+                         f"is empty or contains '|' or whitespace")
     if _has_line_break(text.graphemes):
         raise ValueError("graphemes must not contain line breaks")
-    return f"{IPA_TAG} {' '.join(phonemes)} | {lid_token(text.lid)} {text.graphemes}"
+    return f"{IPA_TAG} {joined} | {lid_token(text.lid)} {text.graphemes}"
 
 
 def parse_training_line(line: str) -> tuple[tuple[str, ...], TargetText]:

@@ -14,7 +14,6 @@ The same machinery stands in for any autoregressive text model with a
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from collections import Counter, defaultdict
@@ -110,24 +109,6 @@ class NGramScorer:
 
     # ---- state handling ------------------------------------------------
 
-    def _state_key(self, phonemes: Sequence[str], step: int,
-                   history: Sequence[str]) -> StateKey:
-        m = len(phonemes)
-        if m == 0:
-            ctx: tuple[str, ...] = ()
-        else:
-            # monotone alignment: grapheme i sits near phoneme i, clamped to
-            # the tail; the lid step looks at the head of the sequence
-            pos = 0 if step == 0 else min(step - 1, m - 1)
-            lo = max(0, pos - self.context_window)
-            hi = min(m, pos + self.context_window + 1)
-            ctx = tuple(phonemes[lo:hi])
-        need = self.order - 1
-        hist = tuple(history[-need:]) if need else ()
-        if len(hist) < need:
-            hist = (BOS,) * (need - len(hist)) + hist
-        return ctx, hist
-
     def _windows(self, phonemes: Sequence[str]) -> list[tuple[str, ...]]:
         """The phoneme window of steps 0, 1, ...; steps past the end read the last.
         Step 0 reads the head window, step s >= 1 that of phoneme s - 1."""
@@ -137,8 +118,8 @@ class NGramScorer:
         return wins[:1] + wins
 
     def _keys(self, phonemes: Sequence[str], stream: Sequence[str]) -> Iterator[StateKey]:
-        """``_state_key(phonemes, step, stream[:step])`` of every step, from the
-        ``_windows`` and the shifted copies of the once-padded stream."""
+        """The state key of every step of ``stream``: the step's ``_windows`` entry
+        and the last ``order - 1`` units before it, padded with BOS."""
         wins, need = self._windows(phonemes), self.order - 1
         padded = (BOS,) * need + tuple(stream[:-1])
         hists = zip(*(padded[i:] for i in range(need))) if need else repeat((), len(stream))
@@ -151,15 +132,21 @@ class NGramScorer:
         row of each key whose counts meet the step's candidate set C, and the floor row
         every other key reads. With n the key's counts in C and ``denom = sum(n) + alpha
         * |C|``, a row is the floor ``log(alpha / denom)`` of every zero-count candidate
-        (and unit outside C) and ``log((n + alpha) / denom)`` of each candidate in n."""
+        (and unit outside C) and ``log((n + alpha) / denom)`` of each candidate in n.
+        Keys with equal n share one row object, memoized on (C, n): both floor rows
+        have no counts, so C keeps them apart."""
         def row(bucket: dict[str, int], cands: frozenset[str]) -> Row:
-            bucket = {u: n for u, n in bucket.items() if u in cands}
-            # integer counts, so their sum does not depend on the order
-            denom = sum(bucket.values()) + alpha * len(cands)
-            return (math.log(alpha / denom),
+            if not bucket.keys() <= cands:  # only at order 1 do both step kinds share a key
+                bucket = {u: n for u, n in bucket.items() if u in cands}
+            if (got := memo.get(memo_key := (cands, frozenset(bucket.items())))) is None:
+                # integer counts, so their sum does not depend on the order
+                denom = sum(bucket.values()) + alpha * len(cands)
+                got = memo[memo_key] = (
+                    math.log(alpha / denom),
                     {u: math.log((n + alpha) / denom) for u, n in bucket.items()})
+            return got
 
-        alpha = self.smoothing_alpha
+        alpha, memo = self.smoothing_alpha, {}
         return tuple(({key: row(bucket, cands) for key, bucket in self.counts.items()
                        if not cands.isdisjoint(bucket)}, row({}, cands))
                      for cands in self._cand_sets)  # type: ignore[attr-defined]
@@ -173,16 +160,22 @@ class NGramScorer:
         """``_rows`` with each row mapped to the end marker's log-prob and the
         ``(lp, unit)`` children an entry grows by, sorted by ``(-lp, unit)``: the
         counted units and the first ``width`` zero-count ones in string order.
-        Built whole on the first read of each width."""
+        Built whole on the first read of each width; keys sharing a row object
+        share its children."""
         def grow(row: Row, order: Sequence[str]) -> Kids:
-            floor, seen = row
-            zeros = islice(filterfalse(seen.__contains__, order), width)
-            kids = sorted([(lp, unit) for unit, lp in seen.items() if unit != EOS]
-                          + [(floor, unit) for unit in zeros], key=lambda kid: (-kid[0], kid[1]))
-            return seen.get(EOS, floor), tuple(kids)
+            if (got := grown.get(id(row))) is None:
+                floor, seen = row
+                zeros = islice(filterfalse(seen.__contains__, order), width)
+                kids = sorted([(lp, unit) for unit, lp in seen.items() if unit != EOS]
+                              + [(floor, unit) for unit in zeros],
+                              key=lambda kid: (-kid[0], kid[1]))
+                got = grown[id(row)] = (seen.get(EOS, floor), tuple(kids))
+            return got
 
         kids = self.__dict__.setdefault("_kids", {})
         if width not in kids:
+            # a row object belongs to one step kind, so its id fixes the order too
+            grown: dict[int, Kids] = {}
             orders = (sorted(c - {EOS}) for c in self._cand_sets)  # type: ignore[attr-defined]
             kids[width] = tuple(({key: grow(row, order) for key, row in rows.items()},
                                  grow(floor, order))
@@ -237,14 +230,16 @@ class NGramScorer:
           at least that much, and ``width`` children at or below ``thr`` (ties
           kept) rank first. The layer is sorted and a step adds <= 0, so an
           entry above both ``thr`` and the completion cutoff ends the level.
-        - Entries are ``(-score, stream)`` tuples, so ``heapq.nsmallest``
-          keeps the same ``width`` in the same order as the full sort. A
-          child is ``(-score, stream, unit)`` until it is kept; all streams
-          of a level have one length, so it orders as ``stream + (unit,)``.
-          Rounding is sign-symmetric, so ``-score - lp`` equals
-          ``-(score + lp)`` bit for bit.
+        - Entries are ``(-score, stream)`` tuples. A child is ``(-score,
+          stream, unit)`` until it is kept; all streams of a level have one
+          length, so it orders as ``stream + (unit,)``. Each level sorts its
+          children once and keeps the first ``width``; no two are equal, so
+          the order is total. Rounding is sign-symmetric, so ``-score - lp``
+          equals ``-(score + lp)`` bit for bit.
         - Completions are ``(-score, lid, graphemes)``, which orders as
-          ``(-score, TargetText)``; only the s returned become ``TargetText``.
+          ``(-score, TargetText)``. They are sorted and cut to s on every
+          level, since the cutoff reads the last; only the s returned become
+          ``TargetText``.
         - The held s-th best completion only improves within a level, so an
           end-marker completion scoring strictly below it at the start of
           the level can never enter the top s. A tie still competes on the
@@ -295,9 +290,10 @@ class NGramScorer:
                     if (child := neg - lp) > thr:
                         break
                     grown.append((child, stream, unit))
-            completed = heapq.nsmallest(s, completed)
-            layer = [(neg, stream + (unit,))
-                     for neg, stream, unit in heapq.nsmallest(width, grown)]
+            completed.sort()
+            del completed[s:]
+            grown.sort()
+            layer = [(neg, stream + (unit,)) for neg, stream, unit in grown[:width]]
             step += 1
 
         return [(TargetText(lid, graphemes), -neg) for neg, lid, graphemes in completed]

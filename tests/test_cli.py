@@ -784,3 +784,47 @@ def test_bench_pairs_claimable_needs_nine_in_ten_wins_and_a_gap_over_the_spread(
     report = json.loads(out.read_text())["workloads"]["decode"]["seed_1"]
     for name, (*_, wins, claimable) in cases.items():
         assert (report[name]["change_wins"], report[name]["claimable"]) == (wins, claimable)
+
+
+def test_bench_pairs_control_runs_in_every_pair_and_its_offset_bounds_a_claim(tmp_path):
+    """With ``--control``, every pair also runs a second copy of the parent, in
+    the order parent, change, control, reversed on every other pair. Each row
+    gains the control's ratio and wins against the parent, and a claim also
+    needs the change's median gap to exceed the control's absolute gap."""
+    # name: better, parent, change and control runs, aa ratio, aa wins, claimable
+    cases = {
+        "clear": ("higher", [2.0] * 10, [3.0] * 10, [2.1] * 10, 1.05, "10/10", True),
+        "under_offset": ("higher", [2.0] * 10, [2.5] * 10, [2.6] * 10, 1.3, "10/10", False),
+        "under_offset_below": ("higher", [2.0] * 10, [2.5] * 10, [1.4] * 10, 0.7, "0/10",
+                               False),
+        "lower_clear": ("lower", [4.0] * 10, [2.0] * 10, [4.0] * 9 + [3.0], 1.0, "1/10",
+                        True),
+    }
+    log = tmp_path / "order.log"
+    checkouts = {}
+    for i, side in enumerate(("parent", "change", "control")):
+        root = checkouts[side] = tmp_path / side
+        (root / "bench").mkdir(parents=True)
+        series = {name: case[1 + i] for name, case in cases.items()}
+        (root / "bench" / "run.py").write_text(
+            _FAKE_SERIES.format(series=series)
+            + f"pathlib.Path({str(log)!r}).open('a').write({side!r} + ' ')\n")
+        (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": name, "better": case[0]} for name, case in cases.items()]}))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    out = tmp_path / "report.json"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+                 "--control", str(checkouts["control"]), "--workloads", "decode",
+                 "--pairs", "10", "--out", str(out)]) == 0
+    assert log.read_text().split() == ["parent", "change", "control",
+                                       "control", "change", "parent"] * 5
+    result = json.loads(out.read_text())
+    assert set(result["code.src_lines"]) == {"parent", "change", "control"}
+    report = result["workloads"]["decode"]["seed_1"]
+    assert report["failed"]["control"] == [0] * 10 and report["digests_identical"]
+    for name, (*_, aa_ratio, aa_wins, claimable) in cases.items():
+        row = report[name]
+        assert row["change_wins"] == "10/10" and row["control"]["runs"] == cases[name][3]
+        assert (row["aa_ratio"], row["aa_wins"], row["claimable"]) == \
+            (aa_ratio, aa_wins, claimable)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from p2g.ctc import prefix_beam_search, save_grids
 from p2g.data import (
     CorpusManifest,
     UtteranceRecord,
+    _unwritable_token,
     generate_danp,
     load_manifest,
     load_training_lines,
@@ -85,6 +87,25 @@ def test_serialize_rejects_bad_tokens():
         serialize_training_line(("",), TargetText("xx", "t"))
     with pytest.raises(ValueError):
         serialize_training_line(("a",), TargetText("xx", "two\nlines"))
+
+
+@pytest.mark.parametrize("tokens", [
+    ("",), (" a",), ("a b",), ("a|",), ("a\xa0",), ("a\u2028",), ("a\x1c",), (),
+])
+def test_serialize_token_check_agrees_with_the_token_rule(tokens):
+    """The check on the joined line refuses a line exactly when
+    ``_unwritable_token`` finds a token in it, alone or between good tokens,
+    and names that token; the empty sequence is written and read back."""
+    text = TargetText("xx", "t")
+    for phonemes in (tokens, ("k", *tokens), (*tokens, "t")):
+        bad = _unwritable_token(phonemes)
+        assert (bad is None) == (tokens == ())
+        if bad is None:
+            assert parse_training_line(serialize_training_line(phonemes, text)) == \
+                (phonemes, text)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"phoneme token {bad!r} is empty")):
+                serialize_training_line(phonemes, text)
 
 
 @pytest.mark.parametrize("line", [

@@ -31,10 +31,11 @@ a -0.0 mass, so the beam cases include one-hot rows whose cell is -0.0.
 the reference counts pair by pair.
 ``log_score``, ``step_log_probs`` and ``train_scorer`` take every step's
 state key from one ``_keys`` walk, and ``generate_top_s`` takes each level's
-window from the same ``_windows``; the reference is ``_state_key`` called
-step by step. The row and children tables hold exactly the keys whose
-counts meet each step kind's candidate set, including a key counted only at
-0 and, at order 1, a key counted for one kind and not the other.
+window from the same ``_windows``; the reference is the test-local
+``_state_key``, called step by step. The row and children tables hold exactly
+the keys whose counts meet each step kind's candidate set, including a key
+counted only at 0 and, at order 1, a key counted for one kind and not the
+other; keys with equal counts share one row and one children entry.
 """
 
 from __future__ import annotations
@@ -78,6 +79,26 @@ from p2g.selftest import HashScorer
 # ---- reference: full-depth text generation --------------------------------
 
 
+def _state_key(scorer, phonemes, step, history):
+    """The state key of one step, computed alone: the phoneme window around a
+    monotone alignment position and the BOS-padded last ``order - 1`` units."""
+    m = len(phonemes)
+    if m == 0:
+        ctx = ()
+    else:
+        # monotone alignment: grapheme i sits near phoneme i, clamped to
+        # the tail; the lid step looks at the head of the sequence
+        pos = 0 if step == 0 else min(step - 1, m - 1)
+        lo = max(0, pos - scorer.context_window)
+        hi = min(m, pos + scorer.context_window + 1)
+        ctx = tuple(phonemes[lo:hi])
+    need = scorer.order - 1
+    hist = tuple(history[-need:]) if need else ()
+    if len(hist) < need:
+        hist = (BOS,) * (need - len(hist)) + hist
+    return ctx, hist
+
+
 def _reference_distribution(scorer, key, step):
     if step == 0:
         cands = tuple(lid_token(c) for c in scorer.languages)
@@ -94,7 +115,7 @@ def _reference_generate(scorer, phonemes, s, max_len, beam_width):
     phonemes = tuple(phonemes)
     width = beam_width if beam_width is not None else max(2 * s, 8)
     completed = []
-    key = scorer._state_key(phonemes, 0, ())
+    key = _state_key(scorer, phonemes, 0, ())
     layer = [((unit,), lp) for unit, lp in _reference_distribution(scorer, key, 0)]
     layer.sort(key=lambda it: (-it[1], it[0]))
     layer = layer[:width]
@@ -102,7 +123,7 @@ def _reference_generate(scorer, phonemes, s, max_len, beam_width):
     while layer and step <= max_len + 1:
         grown = []
         for stream, score in layer:
-            key = scorer._state_key(phonemes, step, stream)
+            key = _state_key(scorer, phonemes, step, stream)
             for unit, lp in _reference_distribution(scorer, key, step):
                 if unit == EOS:
                     lid = stream[0][len("<lid:"):-1]
@@ -220,7 +241,7 @@ def test_step_log_probs_equal_reference_distribution(seed, order):
         stream = (lid_token(y.lid), *y.graphemes, EOS)
         want = []
         for step, unit in enumerate(stream):
-            key = scorer._state_key(phonemes, step, stream[:step])
+            key = _state_key(scorer, phonemes, step, stream[:step])
             want.append(dict(_reference_distribution(scorer, key, step))[unit])
         for _ in range(2):
             got = scorer.step_log_probs(y, phonemes)
@@ -673,7 +694,7 @@ def _reference_train(pairs, order, alpha, window):
         phonemes = tuple(phonemes)
         stream = (lid_token(text.lid), *text.graphemes, EOS)
         for step, unit in enumerate(stream):
-            counts[probe._state_key(phonemes, step, stream[:step])][unit] += 1
+            counts[_state_key(probe, phonemes, step, stream[:step])][unit] += 1
     return NGramScorer(order=order, smoothing_alpha=alpha, context_window=window,
                        languages=languages, units=units,
                        counts={key: dict(bucket) for key, bucket in counts.items()})
@@ -724,7 +745,7 @@ def _phones(rnd, pool, most):
 def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
     """``log_score``, ``step_log_probs``, ``train_scorer`` and ``generate_top_s``
     walk state keys from ``_windows`` and read table rows inline; the reference calls
-    ``_row(_state_key(phonemes, step, stream[:step]), step)`` step by step on
+    ``_row(_state_key(ref, phonemes, step, stream[:step]), step)`` step by step on
     a separately trained copy (its own tables) and sums left to right. Phonemes
     may be empty, texts run past the phoneme sequence, and scored inputs use
     phonemes and letters never counted, so many keys have no counts."""
@@ -742,7 +763,7 @@ def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
         n = len(phonemes) + rnd.randint(0, 4) if rnd.random() < 0.5 else rnd.randint(0, 3)
         y = TargetText(rnd.choice(scorer.languages), "".join(rnd.choices("abcz", k=n)))
         stream = (lid_token(y.lid), *y.graphemes, EOS)
-        keys = [ref._state_key(phonemes, step, stream[:step]) for step in range(len(stream))]
+        keys = [_state_key(ref, phonemes, step, stream[:step]) for step in range(len(stream))]
         want = []
         for step, (key, unit) in enumerate(zip(keys, stream)):
             floor, seen = ref._row(key, step)
@@ -808,10 +829,57 @@ def test_order_1_tables_keep_step_kinds_apart():
                 _reference_generate(scorer, phonemes, 2, 3, width)
         for y in (TargetText("xa", "ab"), TargetText("xb", "bba")):
             stream = (lid_token(y.lid), *y.graphemes, EOS)
-            keys = [scorer._state_key(phonemes, step, stream[:step])
+            keys = [_state_key(scorer, phonemes, step, stream[:step])
                     for step in range(len(stream))]
             want = [dict(_reference_distribution(scorer, key, step))[unit]
                     for step, (key, unit) in enumerate(zip(keys, stream))]
             assert [float.hex(v) for v in scorer.step_log_probs(y, phonemes)] == \
                 [float.hex(v) for v in want]
     _assert_whole_tables(scorer, ("p9",))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_keys_with_equal_counts_share_one_row_and_its_children(order):
+    """Keys whose counts in a step kind's candidate set are equal (in any
+    insertion order, and whatever they count outside it) read one row object
+    and one children entry, each equal to the row and children computed for
+    that key alone; both floor rows have no counts but stay apart."""
+    buckets = [{"<lid:xa>": 2}, {"<lid:xa>": 2, "<lid:xb>": 0}, {"a": 1, EOS: 3},
+               {EOS: 3, "a": 1}, {"b": 0}, {"<lid:xa>": 2, "a": 1, EOS: 3},
+               {"<lid:xb>": 1, "b": 0}, {"a": 1}]
+    hists = [()] if order == 1 else [(BOS, BOS), (BOS, "<lid:xa>"), ("<lid:xb>", "a")]
+    counts = {((f"p{i}",), hists[i % len(hists)]): dict(bucket)
+              for i, bucket in enumerate(buckets * 2)}
+    scorer = NGramScorer(order=order, smoothing_alpha=0.5, context_window=0,
+                         languages=("xa", "xb"), units=("a", "b"), counts=counts)
+    alpha = scorer.smoothing_alpha
+    (_, floor0), (_, floor1) = scorer._rows  # type: ignore[attr-defined]
+    assert floor0 is not floor1
+    assert floor0 == (math.log(alpha / (2 * alpha)), {})
+    assert floor1 == (math.log(alpha / (3 * alpha)), {})
+    for step, cands in enumerate(({"<lid:xa>", "<lid:xb>"}, {"a", "b", EOS})):
+        rows, floor = scorer._rows[step]  # type: ignore[attr-defined]
+        kids = [scorer._children(width)[step] for width in (1, 3)]
+        first: dict = {}
+        for key, bucket in counts.items():
+            counted = {u: c for u, c in bucket.items() if u in cands}
+            if not counted:
+                assert key not in rows
+                continue
+            dist = dict(_reference_distribution(scorer, key, step))
+            want_floor = math.log(alpha / (sum(counted.values()) + alpha * len(cands)))
+            assert float.hex(rows[key][0]) == float.hex(want_floor)
+            assert {u: float.hex(lp) for u, lp in rows[key][1].items()} == \
+                {u: float.hex(dist[u]) for u in counted}
+            units = sorted(dist.keys() - {EOS})
+            for width, (table, _) in zip((1, 3), kids):
+                grown = [u for u in units if u in counted] + \
+                    [u for u in units if u not in counted][:width]
+                assert table[key] == (dist.get(EOS, want_floor), tuple(
+                    sorted(((dist[u], u) for u in grown), key=lambda kid: (-kid[0], kid[1]))))
+            same = first.setdefault(frozenset(counted.items()), key)
+            assert rows[key] is rows[same]
+            assert all(table[key] is table[same] for table, _ in kids)
+        assert len({id(rows[key]) for key in first.values()}) == len(first)
+        assert not any(row is floor0 or row is floor1 for row in rows.values())
+    _assert_whole_tables(scorer, ("p99",))
