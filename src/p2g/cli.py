@@ -23,12 +23,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import ctc, data, marginal, metrics
 from .decode import decode as decode_grid, load_hypotheses, save_decode_results
-from .ioutil import FormatError, atomic_write_text, located, read_json_object, write_jsonl
+from .ioutil import FormatError, atomic_write, located, read_json_object, write_jsonl
 from .scorer import load_scorer, save_scorer, train_scorer
 from .seeding import derive_rng
 from .selftest import run_selftest
@@ -195,13 +196,15 @@ def cmd_beam(args, cfg: RunConfig) -> int:
 def cmd_sample(args, cfg: RunConfig) -> int:
     seed = _require_seed(cfg)
     grids = ctc.load_grids(_path(args, cfg, "in"), cfg.renormalize)
-    rows = []
-    for grid in grids:
-        rng = derive_rng(seed, grid.utterance_id)
-        seqs = ctc.sample_k_hypotheses(grid, cfg.k, rng, cfg.temperature)
-        rows.append({"id": grid.utterance_id,
-                     "samples": [list(grid.alphabet.to_symbols(s)) for s in seqs]})
-    write_jsonl(_path(args, cfg, "out"), rows)
+
+    def rows() -> Iterator[dict]:
+        for grid in grids:
+            rng = derive_rng(seed, grid.utterance_id)
+            seqs = ctc.sample_k_hypotheses(grid, cfg.k, rng, cfg.temperature)
+            yield {"id": grid.utterance_id,
+                   "samples": [list(grid.alphabet.to_symbols(s)) for s in seqs]}
+
+    write_jsonl(_path(args, cfg, "out"), rows())
     return 0
 
 
@@ -228,21 +231,22 @@ def cmd_score(args, cfg: RunConfig) -> int:
                                  f"{rec.text.lid!r}, which the scorer does not know")
     records = [(grid, rec.text) for rec, grid in pairs]
 
-    rows = []
-    for epoch in range(cfg.epochs):
-        batch = marginal.batch_objective(
-            records, model, method, cfg.k,
-            seed=_epoch_seed(seed if seed is not None else 0, epoch, cfg.resample),
-            beam_width=_beam_width(cfg, cfg.k),
-            normalize_weights=bool(cfg.normalize_weights))
-        for utt_id, nll in batch.per_record:
-            obj = {"id": utt_id, "method": method, "k": cfg.k, "log_marginal": -nll}
-            if cfg.epochs > 1:
-                obj["epoch"] = epoch
-            rows.append(obj)
-        print(f"epoch {epoch}: mean nll {batch.mean_nll:.6f} "
-              f"({method}, k={cfg.k}, {len(records)} utterances)")
-    write_jsonl(_path(args, cfg, "out"), rows)
+    def rows() -> Iterator[dict]:
+        for epoch in range(cfg.epochs):
+            batch = marginal.batch_objective(
+                records, model, method, cfg.k,
+                seed=_epoch_seed(seed if seed is not None else 0, epoch, cfg.resample),
+                beam_width=_beam_width(cfg, cfg.k),
+                normalize_weights=bool(cfg.normalize_weights))
+            print(f"epoch {epoch}: mean nll {batch.mean_nll:.6f} "
+                  f"({method}, k={cfg.k}, {len(records)} utterances)")
+            for utt_id, nll in batch.per_record:
+                obj = {"id": utt_id, "method": method, "k": cfg.k, "log_marginal": -nll}
+                if cfg.epochs > 1:
+                    obj["epoch"] = epoch
+                yield obj
+
+    write_jsonl(_path(args, cfg, "out"), rows())
     return 0
 
 
@@ -310,7 +314,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     hyps = load_hypotheses(hyps_path)
     _matched(_nonempty(manifest.records, refs_path), hyps, hyps_path, "hypothesis")
     report = metrics.evaluate(manifest, hyps)
-    atomic_write_text(_path(args, cfg, "out"), metrics.report_to_json(report))
+    atomic_write(_path(args, cfg, "out"), [metrics.report_to_json(report)])
     if cfg.table:
         print(metrics.render_report(report), end="")
     return 0

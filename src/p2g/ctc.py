@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ioutil import field, iter_jsonl, write_jsonl
+from .ioutil import atomic_write, field, iter_json, iter_jsonl
 from .logmath import LOG_ZERO, log_add
 
 BLANK = 0
@@ -386,13 +386,18 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
 
 def save_grids(grids: Iterable[PosteriorGrid], path) -> None:
     """Write grids as strict JSON lines: JSON has no infinity, so a
-    zero-probability cell is written as ``null``."""
-    def cells(grid: PosteriorGrid) -> list:
-        rows = grid.logp.tolist()
-        # most grids have no zero cell and skip the per-cell pass
-        if np.isneginf(grid.logp).any():
-            rows = [[None if v == LOG_ZERO else v for v in row] for row in rows]
-        return rows
+    zero-probability cell is written as ``null``. A grid's rows are converted
+    and encoded a slice at a time."""
+    def rows(grid: PosteriorGrid) -> Iterator[list]:
+        for row in grid.logp:
+            cells = row.tolist()
+            # most rows have no zero cell and skip the per-cell pass
+            yield [None if v == LOG_ZERO else v for v in cells] if LOG_ZERO in cells else cells
 
-    write_jsonl(path, ({"id": grid.utterance_id, "symbols": list(grid.alphabet.symbols),
-                        "logp": cells(grid)} for grid in grids))
+    def pieces() -> Iterator[str]:
+        for grid in grids:
+            yield from iter_json({"id": grid.utterance_id,
+                                  "symbols": list(grid.alphabet.symbols)}, "logp", rows(grid))
+            yield "\n"
+
+    atomic_write(path, pieces())

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ctc import Alphabet, ScoredHypothesis
-from .ioutil import atomic_write_lines, field, iter_jsonl, located, write_jsonl
+from .ioutil import atomic_write, field, iter_jsonl, located, write_jsonl
 from .scorer import TargetText, lid_token
 
 IPA_TAG = "<ipa>"
@@ -243,4 +243,4 @@ def load_training_lines(path) -> list[tuple[tuple[str, ...], TargetText]]:
 
 
 def save_training_lines(pairs: Iterable[tuple[Sequence[str], TargetText]], path) -> None:
-    atomic_write_lines(path, (serialize_training_line(p, t) for p, t in pairs))
+    atomic_write(path, (serialize_training_line(p, t) + "\n" for p, t in pairs))

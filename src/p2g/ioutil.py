@@ -1,14 +1,16 @@
-"""File helpers shared by the loaders and writers: strict JSON and JSONL, atomic
-writes, and the reader boundary, the one place where a loader's ``ValueError``
-becomes a ``FormatError`` that names the file and line."""
+"""File helpers shared by the loaders and writers: strict JSON and JSONL, large
+documents encoded a slice at a time, atomic writes, and the reader boundary,
+the one place where a loader's ``ValueError`` becomes a ``FormatError`` that
+names the file and line."""
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -54,8 +56,14 @@ def _line_constant(name: str) -> float:
     return float(name)
 
 
-# built once: json.loads with a keyword builds a new decoder on every call
+# built once: json.loads and json.dumps with a keyword build a new decoder or
+# encoder on every call
 _LINE_DECODER = json.JSONDecoder(parse_constant=_line_constant)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+# items per encoder call in iter_json: a call costs about 5 us, so one per
+# item would cost more than encoding the whole document at once; 64 grid rows
+# of 101 cells are about 1 MB of floats and text
+_SLICE = 64
 
 
 def iter_jsonl(path: str | os.PathLike, parse: Callable[[dict], T],
@@ -111,17 +119,42 @@ def fields(objs: Iterable[dict], key: str, kind: type, items: type | None = None
 def to_json(obj, indent: int | None = None) -> str:
     """The one JSON encoder for output files: strict JSON, so a NaN or an
     infinity raises ``ValueError``, with non-ASCII text kept as is."""
+    if indent is None:
+        return _ENCODER.encode(obj)
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=indent)
+
+
+def iter_json(head: dict, key: str, items: Iterable) -> Iterator[str]:
+    """``to_json({**head, key: list(items)})`` in pieces, with ``key`` not in
+    ``head``: the same text, but encoded ``_SLICE`` items per encoder call, so
+    neither the item list nor the whole text is held at once. The pieces
+    join exactly because ``to_json([a, b])[1:-1]`` is
+    ``to_json(a) + ", " + to_json(b)``."""
+    yield to_json({**head, key: []})[:-2]  # up to and including the "["
+    items, sep = iter(items), ""
+    while chunk := list(islice(items, _SLICE)):
+        yield sep + to_json(chunk)[1:-1]
+        sep = ", "
+    yield "]}"
 
 
 @contextmanager
 def _atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
     """A sibling temp file that is renamed into place when the block exits
-    cleanly and deleted when it raises."""
+    cleanly and deleted when it raises. It takes the mode ``open(path, "w")``
+    would leave, not the 0600 of ``mkstemp``: an existing target's, else
+    0o666 less the umask."""
     path = Path(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # read by setting it: the CLI runs one thread
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -132,21 +165,18 @@ def _atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
         raise
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+def atomic_write(path: str | os.PathLike, pieces: Iterable[str]) -> None:
+    """The one file writer: the text of ``pieces`` in order, written
+    atomically; a piece is consumed as it is written."""
     with _atomic_file(path) as fh:
-        fh.write(text)
-
-
-def atomic_write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
-    with _atomic_file(path) as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for piece in pieces:
+            fh.write(piece)
 
 
 def write_jsonl(path: str | os.PathLike, objs: Iterable) -> None:
     """The one JSONL writer: each object as one ``to_json`` line, written
     atomically."""
-    atomic_write_lines(path, (to_json(obj) for obj in objs))
+    atomic_write(path, (to_json(obj) + "\n" for obj in objs))
 
 
 def read_json_object(path: str | os.PathLike, not_object: str) -> dict:

@@ -23,7 +23,7 @@ from itertools import chain, filterfalse, islice, repeat
 from operator import add
 from typing import Iterator, Protocol, Sequence
 
-from .ioutil import atomic_write_text, field, fields, located, read_json_object, to_json
+from .ioutil import atomic_write, field, fields, iter_json, located, read_json_object
 
 EOS = "<eos>"
 BOS = "<bos>"
@@ -329,12 +329,15 @@ def train_scorer(pairs: Sequence[tuple[Sequence[str], TargetText]], order: int =
 
 def save_scorer(scorer: NGramScorer, path) -> None:
     """Versioned JSON dump; loading gives bitwise-identical scores because
-    only integer counts and the exact config floats are stored."""
-    entries = []
-    for (ctx, hist), bucket in sorted(scorer.counts.items()):
-        entries.append({"ctx": list(ctx), "hist": list(hist),
-                        "n": {u: bucket[u] for u in sorted(bucket)}})
-    payload = {
+    only integer counts and the exact config floats are stored. The sorted
+    ``counts`` entries are built and encoded a slice at a time."""
+    def entries() -> Iterator[dict]:
+        for ctx, hist in sorted(scorer.counts):
+            bucket = scorer.counts[ctx, hist]
+            yield {"ctx": list(ctx), "hist": list(hist),
+                   "n": {u: bucket[u] for u in sorted(bucket)}}
+
+    head = {
         "format": SCORER_FORMAT,
         "version": SCORER_VERSION,
         "order": scorer.order,
@@ -342,9 +345,8 @@ def save_scorer(scorer: NGramScorer, path) -> None:
         "context_window": scorer.context_window,
         "languages": list(scorer.languages),
         "units": list(scorer.units),
-        "counts": entries,
     }
-    atomic_write_text(path, to_json(payload) + "\n")
+    atomic_write(path, chain(iter_json(head, "counts", entries()), ["\n"]))
 
 
 def load_scorer(path) -> NGramScorer:

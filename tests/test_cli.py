@@ -12,6 +12,7 @@ import pytest
 
 import p2g.ctc
 import p2g.data
+import p2g.marginal
 from p2g import cli, selftest, synth
 from p2g.ctc import save_grids
 from p2g.data import (
@@ -519,6 +520,39 @@ def test_score_resample_draws_fresh_each_epoch(workdir, tmp_path):
     first = {r["id"]: r["log_marginal"] for r in rows if r["epoch"] == 0}
     second = {r["id"]: r["log_marginal"] for r in rows if r["epoch"] == 1}
     assert first != second
+
+
+@pytest.mark.parametrize("command, patched", [("score", "batch_objective"),
+                                               ("sample", "sample_k_hypotheses")])
+def test_failure_mid_run_leaves_no_output(workdir, tmp_path, monkeypatch, command, patched):
+    """``score`` and ``sample`` feed their writer as they go; a failure after
+    the first epoch or grid leaves no new output file and an old one as it
+    was. (The golden digests pin the bytes of both, with two epochs.)"""
+    argv = {"score": ["score", "--grids", str(workdir / "grids.jsonl"),
+                      "--refs", str(workdir / "manifest.jsonl"),
+                      "--scorer", str(workdir / "scorer.json"), "--method", "sskm",
+                      "--k", "4", "--seed", "3", "--epochs", "2"],
+            "sample": ["sample", "--in", str(workdir / "grids.jsonl"), "--k", "2",
+                       "--seed", "3"]}[command]
+    module = {"score": p2g.marginal, "sample": p2g.ctc}[command]
+    real, calls = getattr(module, patched), []
+
+    def fails_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("injected failure")
+        return real(*args, **kwargs)
+
+    old = tmp_path / "old.jsonl"
+    assert cli.main(argv + ["--out", str(old)]) == 0
+    before = old.read_bytes()
+    monkeypatch.setattr(module, patched, fails_second)
+    assert cli.main(argv + ["--out", str(tmp_path / "new.jsonl")]) == 1
+    calls.clear()
+    assert cli.main(argv + ["--out", str(old)]) == 1
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+    assert old.read_bytes() == before
 
 
 def _set(key, value):

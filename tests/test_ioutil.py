@@ -1,10 +1,26 @@
+import ast
 import math
+import os
+import stat
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from p2g.ctc import load_grids
+from p2g import ioutil
+from p2g.ctc import Alphabet, PosteriorGrid, load_grids, save_grids
 from p2g.data import load_manifest, load_training_lines
-from p2g.ioutil import FormatError, write_jsonl
+from p2g.ioutil import FormatError, atomic_write, to_json, write_jsonl
+from p2g.scorer import (
+    EOS,
+    SCORER_FORMAT,
+    SCORER_VERSION,
+    NGramScorer,
+    lid_token,
+    load_scorer,
+    save_scorer,
+)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -58,3 +74,184 @@ def test_line_files_refuse_nan_and_infinity_at_their_line(tmp_path, load, line, 
                                           f"constant {constant}"):
         load(p)
 
+
+# ---- streamed writers ---------------------------------------------------
+
+_UNITS = ("é", "ß", "a", "ж")
+
+
+def _scorer(n_keys: int) -> NGramScorer:
+    """An order-2 scorer with ``n_keys`` state keys, non-ASCII throughout."""
+    counts = {(("ŋ", f"φ{i}"), (_UNITS[i % 4],)):
+              {_UNITS[(i + 1) % 4]: i % 7 + 1, EOS: 1, lid_token("ру"): i % 3}
+              for i in range(n_keys)}
+    return NGramScorer(order=2, smoothing_alpha=0.25, context_window=1,
+                       languages=("xx", "ру"), units=_UNITS, counts=counts)
+
+
+def _grid(frames: int, utt: str = "ütt-é", zeros: bool = False,
+          symbols: tuple[str, ...] = ("ŋ", "ʃ", "a")) -> PosteriorGrid:
+    """A grid of ``frames`` rows; with ``zeros``, every other row has a zero cell."""
+    probs = np.random.default_rng(frames).dirichlet(np.ones(len(symbols) + 1), size=frames)
+    if zeros:
+        probs[::2, 1] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return PosteriorGrid(utt, Alphabet(symbols), np.log(probs))
+
+
+def _one_shot_scorer(scorer: NGramScorer, path) -> None:
+    """The whole-document scorer writer that ``save_scorer`` streams: the
+    reference for its bytes."""
+    entries = [{"ctx": list(ctx), "hist": list(hist),
+                "n": {u: bucket[u] for u in sorted(bucket)}}
+               for (ctx, hist), bucket in sorted(scorer.counts.items())]
+    Path(path).write_text(to_json({
+        "format": SCORER_FORMAT, "version": SCORER_VERSION, "order": scorer.order,
+        "smoothing_alpha": scorer.smoothing_alpha,
+        "context_window": scorer.context_window, "languages": list(scorer.languages),
+        "units": list(scorer.units), "counts": entries}) + "\n", encoding="utf-8")
+
+
+def _one_shot_grids(grids, path) -> None:
+    """The whole-line grid writer that ``save_grids`` streams: the reference
+    for its bytes."""
+    lines = []
+    for grid in grids:
+        rows = grid.logp.tolist()
+        if np.isneginf(grid.logp).any():
+            rows = [[None if v == -math.inf else v for v in row] for row in rows]
+        lines.append(to_json({"id": grid.utterance_id,
+                              "symbols": list(grid.alphabet.symbols), "logp": rows}) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("n_keys", [0, 1, ioutil._SLICE, ioutil._SLICE + 1,
+                                    3 * ioutil._SLICE + 5])
+def test_save_scorer_streams_the_one_shot_bytes(tmp_path, n_keys):
+    """The counts entries are encoded a slice at a time, yet the file is
+    byte for byte ``to_json`` of the whole document: empty, one slice, one
+    slice plus one, and several."""
+    scorer = _scorer(n_keys)
+    save_scorer(scorer, tmp_path / "streamed.json")
+    _one_shot_scorer(scorer, tmp_path / "whole.json")
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+    assert load_scorer(tmp_path / "streamed.json") == scorer
+
+
+@pytest.mark.parametrize("grids", [
+    [_grid(1)],
+    [_grid(1, zeros=True)],
+    [_grid(ioutil._SLICE)],
+    [_grid(ioutil._SLICE + 1, zeros=True)],
+    [_grid(5, "a"), _grid(2 * ioutil._SLICE + 3, "b", zeros=True), _grid(1, "c")],
+    [],
+], ids=["one-frame", "one-frame-zero", "one-slice", "slice-plus-one-zero", "three", "none"])
+def test_save_grids_streams_the_one_shot_bytes(tmp_path, grids):
+    """A grid's rows are encoded a slice at a time, zero cells still as
+    ``null``, yet every line is ``to_json`` of the whole grid."""
+    save_grids(grids, tmp_path / "streamed.jsonl")
+    _one_shot_grids(grids, tmp_path / "whole.jsonl")
+    assert (tmp_path / "streamed.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+    back = load_grids(tmp_path / "streamed.jsonl")
+    assert [(g.utterance_id, g.alphabet) for g in back] == [
+        (g.utterance_id, g.alphabet) for g in grids]
+    for got, want in zip(back, grids):
+        assert np.array_equal(got.logp, want.logp)
+
+
+def _transient_bytes(write) -> int:
+    """Peak bytes that ``write()`` allocates above what was live when it
+    started, as tracemalloc counts them (after one untraced warm-up call)."""
+    write()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+# An added key or row may cost the writer a few pointers (the sorted key
+# list: about 8 bytes a key), never its share of the document. Writers that
+# encode the whole document at once measured about 840 bytes per added key
+# of ``_scorer`` and 3 KB per added 33-cell grid row.
+_BYTES_PER_ADDED_ITEM = 48
+
+
+@pytest.mark.parametrize("writer", ["scorer", "grids"])
+def test_streamed_writers_hold_a_slice_not_the_document(tmp_path, writer):
+    """The transient memory of ``save_scorer`` and ``save_grids`` stays flat
+    when the keys or the frames grow 4x: each holds a slice of the document,
+    so at most a few pointers per added item."""
+    n = 1000
+    if writer == "scorer":
+        small, large = _scorer(n), _scorer(4 * n)
+        small_t = _transient_bytes(lambda: save_scorer(small, tmp_path / "s.json"))
+        large_t = _transient_bytes(lambda: save_scorer(large, tmp_path / "s.json"))
+    else:
+        symbols = tuple(f"p{i:02d}" for i in range(32))
+        small, large = _grid(n, symbols=symbols), _grid(4 * n, symbols=symbols)
+        small_t = _transient_bytes(lambda: save_grids([small], tmp_path / "g.jsonl"))
+        large_t = _transient_bytes(lambda: save_grids([large], tmp_path / "g.jsonl"))
+    assert large_t - small_t < _BYTES_PER_ADDED_ITEM * 3 * n, (small_t, large_t)
+
+
+@pytest.fixture
+def umask():
+    """Set a fixed umask for the test and restore the caller's after it."""
+    old = os.umask(0o022)
+    yield os.umask
+    os.umask(old)
+
+
+@pytest.mark.parametrize("mask, want", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_new_output_file_gets_the_mode_open_would_give(tmp_path, umask, mask, want):
+    """A new file is 0o666 less the umask, as ``open(path, "w")`` makes it,
+    not the 0600 of the temp file it is renamed from."""
+    umask(mask)
+    atomic_write(tmp_path / "new.txt", ["x\n"])
+    with open(tmp_path / "plain.txt", "w") as fh:
+        fh.write("x\n")
+    assert stat.S_IMODE((tmp_path / "new.txt").stat().st_mode) == want
+    assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == want
+
+
+def test_overwritten_output_file_keeps_its_mode(tmp_path, umask):
+    """Replacing a file keeps its mode, as writing it in place would."""
+    target = tmp_path / "out.jsonl"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    write_jsonl(target, [{"id": "u"}])
+    assert target.read_text(encoding="utf-8") == '{"id": "u"}\n'
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def _calls_outside_ioutil(names: set[str]) -> set[str]:
+    """Modules of ``src/p2g`` other than ``ioutil.py`` that name any of
+    ``names`` (``json.dumps`` style) or import a module in ``names``."""
+    found = set()
+    for path in sorted((Path(ioutil.__file__).parent).glob("*.py")):
+        if path.name == "ioutil.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hit = f"{node.value.id}.{node.attr}" in names
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module in names
+                       or any(f"{node.module}.{a.name}" in names for a in node.names))
+            elif isinstance(node, ast.Import):
+                hit = any(a.name in names for a in node.names)
+            else:
+                continue
+            if hit:
+                found.add(path.name)
+    return found
+
+
+def test_one_encoder_and_one_atomic_file_path():
+    """Only ``ioutil`` encodes JSON and makes temp files, so every output
+    file is strict JSON, written atomically with the same mode rule."""
+    assert _calls_outside_ioutil({"json.dump", "json.dumps", "json.JSONEncoder"}) == set()
+    assert _calls_outside_ioutil({"tempfile"}) == set()
