@@ -8,11 +8,9 @@ from __future__ import annotations
 import json
 import os
 import stat
-import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -138,39 +136,27 @@ def iter_json(head: dict, key: str, items: Iterable) -> Iterator[str]:
     yield "]}"
 
 
-@contextmanager
-def _atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
-    """A sibling temp file that is renamed into place when the block exits
-    cleanly and deleted when it raises. It takes the mode ``open(path, "w")``
-    would leave, not the 0600 of ``mkstemp``: an existing target's, else
-    0o666 less the umask."""
-    path = Path(path)
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)  # read by setting it: the CLI runs one thread
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, mode)
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def atomic_write(path: str | os.PathLike, pieces: Iterable[str]) -> None:
-    """The one file writer: the text of ``pieces`` in order, written
-    atomically; a piece is consumed as it is written."""
-    with _atomic_file(path) as fh:
-        for piece in pieces:
-            fh.write(piece)
+    """The one file writer: the text of ``pieces`` in order, written where and
+    how ``open(path, "w")`` would write it, but atomically. The target is
+    ``path`` with its symlinks resolved; a sibling temp file, created as
+    ``open`` creates a file (0o666 less the umask) or given an existing
+    target's mode, replaces it once every piece is written, and is deleted if
+    anything raises. A piece is consumed as it is written."""
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            with suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+            for piece in pieces:  # faster than writelines on many small pieces
+                fh.write(piece)
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_jsonl(path: str | os.PathLike, objs: Iterable) -> None:

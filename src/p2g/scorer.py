@@ -31,7 +31,13 @@ BOS = "<bos>"
 SCORER_FORMAT = "p2g-ngram-scorer"
 SCORER_VERSION = 1
 
-_LID_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
+_LID_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
+
+
+def _check_lid(code: str) -> None:
+    """The one language-id rule, for records, decode output and scorer files."""
+    if not _LID_RE.fullmatch(code):
+        raise ValueError(f"invalid language id {code!r}")
 
 
 def lid_token(code: str) -> str:
@@ -47,8 +53,7 @@ class TargetText:
     graphemes: str
 
     def __post_init__(self) -> None:
-        if not _LID_RE.match(self.lid):
-            raise ValueError(f"invalid language id {self.lid!r}")
+        _check_lid(self.lid)
 
 
 class ConditionalScorer(Protocol):
@@ -85,6 +90,8 @@ class NGramScorer:
             raise ValueError("context_window must be >= 0")
         if not self.languages:
             raise ValueError("scorer needs at least one language")
+        for code in self.languages:
+            _check_lid(code)
         if len(set(self.languages)) != len(self.languages):
             raise ValueError("duplicate language in scorer inventory")
         if len(set(self.units)) != len(self.units):

@@ -320,6 +320,24 @@ def test_input_mismatch_exits_2_naming_the_file_and_utterance(workdir, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["augment", "balance"])
+def test_language_id_with_a_trailing_line_break_exits_2(workdir, tmp_path, capsys, command):
+    """A refs language id is matched whole, so one ending in a line break is
+    refused at its line rather than written as a ``<lid:..>`` tag split over
+    two training lines."""
+    rows = [json.loads(l) for l in
+            (workdir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows[1]["lang"] += "\n"
+    bad, out = tmp_path / "refs.jsonl", tmp_path / "out"
+    _write_rows(bad, rows)
+    argv = {"augment": ["augment", "--grids", str(workdir / "grids.jsonl"), "--refs", str(bad)],
+            "balance": ["balance", "--in", str(bad), "--seed", "1"]}[command]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    lang = rows[1]["lang"]
+    assert f"p2g: {bad}, line 2: invalid language id {lang!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["grids", "refs"])
 def test_augment_refuses_an_unwritable_token_naming_its_file(tmp_path, capsys, source):
     """A phoneme token with whitespace cannot go on a training line: exit 2,
@@ -580,9 +598,13 @@ def _set_first_count(value):
     (lambda p: p.update(units="".join(p["units"])), "'units'"),
     (lambda p: p["counts"].append(["ctx", "hist"]), "'counts'"),
     (_set("smoothing_alpha", 5e-324), "smoothing_alpha"),
+    (lambda p: p["languages"].append("XX"), "invalid language id 'XX'"),
+    (lambda p: p["languages"].append("x y"), "invalid language id 'x y'"),
+    (lambda p: p["languages"].append(""), "invalid language id ''"),
 ], ids=["duplicate-language", "alpha-nan", "alpha-infinity", "count-negative",
         "count-fraction", "order-fraction", "order-string", "order-bool",
-        "units-string", "counts-entry-not-object", "alpha-subnormal"])
+        "units-string", "counts-entry-not-object", "alpha-subnormal",
+        "language-upper-case", "language-space", "language-empty"])
 def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsys,
                                                         edit, expect):
     """Scorer-file fields are type-checked, never coerced, and the scorer's

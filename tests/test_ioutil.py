@@ -81,12 +81,13 @@ _UNITS = ("é", "ß", "a", "ж")
 
 
 def _scorer(n_keys: int) -> NGramScorer:
-    """An order-2 scorer with ``n_keys`` state keys, non-ASCII throughout."""
+    """An order-2 scorer with ``n_keys`` state keys, with non-ASCII units and
+    context symbols (a language id is ASCII)."""
     counts = {(("ŋ", f"φ{i}"), (_UNITS[i % 4],)):
-              {_UNITS[(i + 1) % 4]: i % 7 + 1, EOS: 1, lid_token("ру"): i % 3}
+              {_UNITS[(i + 1) % 4]: i % 7 + 1, EOS: 1, lid_token("ru"): i % 3}
               for i in range(n_keys)}
     return NGramScorer(order=2, smoothing_alpha=0.25, context_window=1,
-                       languages=("xx", "ру"), units=_UNITS, counts=counts)
+                       languages=("xx", "ru"), units=_UNITS, counts=counts)
 
 
 def _grid(frames: int, utt: str = "ütt-é", zeros: bool = False,
@@ -228,13 +229,70 @@ def test_overwritten_output_file_keeps_its_mode(tmp_path, umask):
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
-def _calls_outside_ioutil(names: set[str]) -> set[str]:
-    """Modules of ``src/p2g`` other than ``ioutil.py`` that name any of
-    ``names`` (``json.dumps`` style) or import a module in ``names``."""
+def _listing(*dirs) -> list[list[str]]:
+    return [sorted(p.name for p in d.iterdir()) for d in dirs]
+
+
+def _linked_file(tmp_path):
+    """``out/link.jsonl``, a symlink to ``real/data.jsonl``, which holds
+    ``old`` with mode 0640."""
+    (tmp_path / "out").mkdir()
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "data.jsonl", tmp_path / "out" / "link.jsonl"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    return link, target
+
+
+def test_symlinked_output_is_written_through_to_its_target(tmp_path, umask):
+    """A symlinked output path is written where ``open(path, "w")`` writes:
+    the link stays a link, and its target in another directory gets the new
+    bytes and keeps its mode."""
+    link, target = _linked_file(tmp_path)
+    write_jsonl(link, [{"id": "u"}])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == '{"id": "u"}\n'
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert _listing(link.parent, target.parent) == [["link.jsonl"], ["data.jsonl"]]
+
+
+def test_dangling_symlinked_output_creates_its_target(tmp_path, umask):
+    """A link to a file that does not exist yet creates that file, as
+    ``open(path, "w")`` does, with the mode the umask leaves."""
+    (tmp_path / "real").mkdir()
+    link = tmp_path / "link.txt"
+    link.symlink_to(Path("real") / "new.txt")  # relative to the link's directory
+    umask(0o027)
+    atomic_write(link, ["x\n"])
+    target = tmp_path / "real" / "new.txt"
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "x\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert _listing(tmp_path, tmp_path / "real") == [["link.txt", "real"], ["new.txt"]]
+
+
+def test_failed_write_through_a_symlink_changes_nothing(tmp_path):
+    """A write that raises midway leaves the link, its target and both
+    directories as they were: no temp file is left beside either."""
+    link, target = _linked_file(tmp_path)
+
+    def pieces():
+        yield "new\n"
+        raise RuntimeError("mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        atomic_write(link, pieces())
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert _listing(link.parent, target.parent) == [["link.jsonl"], ["data.jsonl"]]
+
+
+def _modules_naming(names: set[str]) -> set[str]:
+    """Modules of ``src/p2g`` that name any of ``names`` (``json.dumps``
+    style) or import a module in ``names``."""
     found = set()
     for path in sorted((Path(ioutil.__file__).parent).glob("*.py")):
-        if path.name == "ioutil.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 hit = f"{node.value.id}.{node.attr}" in names
@@ -251,7 +309,10 @@ def _calls_outside_ioutil(names: set[str]) -> set[str]:
 
 
 def test_one_encoder_and_one_atomic_file_path():
-    """Only ``ioutil`` encodes JSON and makes temp files, so every output
-    file is strict JSON, written atomically with the same mode rule."""
-    assert _calls_outside_ioutil({"json.dump", "json.dumps", "json.JSONEncoder"}) == set()
-    assert _calls_outside_ioutil({"tempfile"}) == set()
+    """Only ``ioutil`` encodes JSON and creates or renames a file, and no
+    module makes temp files or reads the umask: every output file is strict
+    JSON, written atomically where and with the mode ``open(path, "w")``
+    would give."""
+    assert _modules_naming({"json.dump", "json.dumps", "json.JSONEncoder"}) <= {"ioutil.py"}
+    assert _modules_naming({"os.open", "os.replace"}) == {"ioutil.py"}
+    assert _modules_naming({"tempfile", "os.umask", "os.rename"}) == set()

@@ -40,7 +40,7 @@ def test_lid_token_format():
 
 
 def test_target_text_rejects_bad_lid():
-    for bad in ("", "KY", "k y", "-x", "a_b"):
+    for bad in ("", "KY", "k y", "-x", "a_b", "xx\n"):
         with pytest.raises(ValueError):
             TargetText(bad, "text")
 
