@@ -25,7 +25,10 @@ output (``workloads[W]["seed_S"]``) holds:
   more than the parent's spread and, with a control, by more than the
   control's absolute gap to the parent. With a control the row also holds
   ``aa_ratio``, the control/parent ratio of the medians, and ``aa_wins``,
-  the pairs the control wins over the parent
+  the pairs the control wins over the parent. A metric that declares a
+  ``bound`` also gets ``within_bound``, the regression gate: true when the
+  change's median is no worse than the parent's by more than ``bound`` times
+  the parent's median
 - the same medians and quartiles for every per-stage time (``*_s``)
 - the failed and attempted counts of every run
 - whether every run of every side wrote the same artifact digests, the
@@ -96,7 +99,8 @@ def _side(values: list[float]) -> dict:
             "runs": [round(v, 4) for v in values]}
 
 
-def _compare(runs: dict[str, list[dict]], name: str, better: str | None) -> dict:
+def _compare(runs: dict[str, list[dict]], name: str, better: str | None,
+             bound: float | None = None) -> dict:
     """Each side's statistics of ``name`` over its finished runs (None if it
     has none); wins count the pairs in which a side and the parent finished."""
     per_side = {side: [None if "exit" in r else r["values"][name] for r in side_runs]
@@ -126,6 +130,8 @@ def _compare(runs: dict[str, list[dict]], name: str, better: str | None) -> dict
         if "control" in runs:
             row["claimable"] = row["claimable"] and bool(tally["control"][1]) and \
                 gap > abs(median["control"] - parent)
+        if bound is not None:
+            row["within_bound"] = bool(both) and gap >= -bound * abs(parent)
     return row
 
 
@@ -155,7 +161,8 @@ def _workload(args, workload: str, seed: int, spec: dict) -> dict:
     digests = [run["digests"] for run in finished]
     return {
         "pairs": args.pairs,
-        **{m["name"]: _compare(runs, m["name"], m["better"]) for m in end_to_end},
+        **{m["name"]: _compare(runs, m["name"], m["better"], m.get("bound"))
+           for m in end_to_end},
         "stages": {name: _compare(runs, name, None) for name in stages},
         **{key: {side: [None if "exit" in r else r["result"][key] for r in runs[side]]
                  for side in sides} for key in ("failed", "attempted")},

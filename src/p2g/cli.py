@@ -313,7 +313,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     manifest = data.load_manifest(refs_path)
     hyps = load_hypotheses(hyps_path)
     _matched(_nonempty(manifest.records, refs_path), hyps, hyps_path, "hypothesis")
-    report = metrics.evaluate(manifest, hyps)
+    with located(refs_path):  # hypotheses are matched above: evaluate refuses only refs
+        report = metrics.evaluate(manifest, hyps)
     atomic_write(_path(args, cfg, "out"), [metrics.report_to_json(report)])
     if cfg.table:
         print(metrics.render_report(report), end="")

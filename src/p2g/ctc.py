@@ -280,6 +280,14 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
       above it are kept. Prefixes are distinct and the merge commutes, so
       member order never matters: prefix tuples are built only for a tie
       that straddles the cut and for the top k.
+    - The next members' state is gathered from the chosen cells' rows, as
+      a stay keeps it, and then only the extensions are patched: blank mass
+      LOG_ZERO, non-blank mass the cell's total, last label the cell's
+      label, parent id the row's id, and a new id from the trie. A gather
+      and a patch copy float64 values, so each mass is bitwise the one a
+      per-member choice between stay and extension gives, -0.0 included.
+      The blank column is read once per call as Python floats, and
+      ``total + blank`` is the same float64 sum as with a numpy scalar.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -309,16 +317,23 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
     # total, last label (BLANK for the root), prefix id and its parent's id
     pb, pnb, total = np.array([0.0, LOG_ZERO]), np.full(2, LOG_ZERO), np.array([0.0, LOG_ZERO])
     last, pid, ppid = np.zeros(2, np.intp), np.array([1, 0], np.intp), np.zeros(2, np.intp)
+    # for the first `rows` rows of a frame: each row's first flat cell, and
+    # each cell's row and label; doubled as the beam fills, up to its width
+    rows = 0
 
-    for row in grid.logp:
-        starts = np.arange(0, pid.size * cols, cols)
+    for row, blank in zip(grid.logp, grid.logp[:, BLANK].tolist()):
+        if pid.size > rows:
+            rows = min(2 * pid.size, beam_width + 1)
+            row_starts = np.arange(0, rows * cols, cols)
+            src_of, label_of = np.divmod(np.arange(rows * cols), cols)
+        starts = row_starts[:pid.size]
         flat = (total[:, None] + row).ravel()
         # a repeat reaches the longer prefix only across a blank, so only the
         # blank-ending mass grows it (column 0 is rewritten below)
         row_last = row[last]
         flat[starts + last] = pb + row_last
         # a member stays by a blank, or by repeating its last label
-        stay_b = total + row[BLANK]
+        stay_b = total + blank
         stay_nb = pnb + row_last
         row_of[pid] = starts
         merge = row_of[ppid] + last
@@ -337,20 +352,19 @@ def prefix_beam_search(grid: PosteriorGrid, beam_width: int, k: int) -> list[Sco
             above, tied = chosen[flat[chosen] > thr], chosen[flat[chosen] == thr]
             tied = [f for _, f in sorted(zip(ranks(tied), tied.tolist()))]
             chosen = np.concatenate((above, tied[:beam_width - above.size], chosen[-1:]))
-        src, label = np.divmod(chosen, cols)
-        stays = label == BLANK
-        total = flat[chosen]
-        pb = np.where(stays, stay_b[src], LOG_ZERO)
-        pnb = np.where(stays, stay_nb[src], total)
-        last = np.where(stays, last[src], label)
-        pid = pid[src]
-        ppid = np.where(stays, ppid[src], pid)
+        src, label, total = src_of[chosen], label_of[chosen], flat[chosen]
+        pb, pnb, last, pid, ppid = stay_b[src], stay_nb[src], last[src], pid[src], ppid[src]
         ext = label.nonzero()[0]
         if ext.size:
+            parents, labels = pid[ext], label[ext]
+            pb[ext] = LOG_ZERO
+            pnb[ext] = total[ext]
+            last[ext] = labels
+            ppid[ext] = parents
             if len(trie) + ext.size >= row_of.size:  # room for the new ids
                 row_of = np.concatenate((row_of, np.full(len(trie) + ext.size, -cols)))
             pid[ext] = [trie.setdefault(key, len(trie) + 1)
-                        for key in (pid[ext] * cols + label[ext]).tolist()]
+                        for key in (parents * cols + labels).tolist()]
 
     live = total[:-1]
     top = np.arange(live.size)

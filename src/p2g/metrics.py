@@ -88,7 +88,8 @@ def evaluate(manifest: CorpusManifest, hypotheses: Mapping[str, TargetText]) -> 
     """Word error rate and lid accuracy per language, with both aggregates.
 
     Every manifest record needs a hypothesis under its utterance id; extra
-    hypotheses are ignored. Hours come from the manifest durations.
+    hypotheses are ignored. Hours come from the manifest durations. A
+    language whose reference texts hold no word has no error rate: refused.
     """
     for rec in manifest.records:
         if rec.utterance_id not in hypotheses:
@@ -96,9 +97,13 @@ def evaluate(manifest: CorpusManifest, hypotheses: Mapping[str, TargetText]) -> 
     per_lang = {}
     for lang, recs in sorted(manifest.by_language().items()):
         pairs = [(rec.text, hypotheses[rec.utterance_id]) for rec in recs]
+        try:
+            wer = error_rate([(tokenize_words(ref.graphemes), tokenize_words(hyp.graphemes))
+                              for ref, hyp in pairs])
+        except ValueError as exc:  # no reference words in this language
+            raise ValueError(f"language {lang!r}: {exc}") from None
         per_lang[lang] = LanguageEval(
-            error_rate=error_rate([(tokenize_words(ref.graphemes),
-                                    tokenize_words(hyp.graphemes)) for ref, hyp in pairs]),
+            error_rate=wer,
             lid_accuracy=lid_accuracy([(ref.lid, hyp.lid) for ref, hyp in pairs]),
             hours=sum(rec.dur_sec / 3600.0 for rec in recs))
     hours = {lang: e.hours for lang, e in per_lang.items()}

@@ -320,6 +320,24 @@ def test_input_mismatch_exits_2_naming_the_file_and_utterance(workdir, tmp_path,
     assert not out.exists()
 
 
+def test_eval_language_without_reference_words_exits_2(workdir, tmp_path, capsys):
+    """A language whose every reference text is empty has no word error rate:
+    the refs file is bad input, so exit 2 naming it and the language."""
+    rows = [json.loads(l) for l in
+            (workdir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        if row["lang"] == "nl":
+            row["text"] = ""
+    refs, hyps, out = tmp_path / "refs.jsonl", tmp_path / "hyps.jsonl", tmp_path / "out"
+    _write_rows(refs, rows)
+    _write_rows(hyps, [{"id": r["id"], "lid": r["lang"], "text": "x"} for r in rows])
+    assert cli.main(["eval", "--refs", str(refs), "--hyps", str(hyps),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"p2g: {refs}: language 'nl': error rate "
+                                       "undefined: total reference length is zero\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["augment", "balance"])
 def test_language_id_with_a_trailing_line_break_exits_2(workdir, tmp_path, capsys, command):
     """A refs language id is matched whole, so one ending in a line break is
@@ -840,6 +858,42 @@ def test_bench_pairs_claimable_needs_nine_in_ten_wins_and_a_gap_over_the_spread(
     report = json.loads(out.read_text())["workloads"]["decode"]["seed_1"]
     for name, (*_, wins, claimable) in cases.items():
         assert (report[name]["change_wins"], report[name]["claimable"]) == (wins, claimable)
+
+
+def test_bench_pairs_within_bound_gates_a_regression_by_the_declared_bound(tmp_path):
+    """A metric with a ``bound`` in ``BENCHMARK.json`` gets ``within_bound``:
+    true when the change's median is no worse than the parent's by more than
+    the bound times the parent's median, whatever the wins; a metric without
+    a bound gets no flag."""
+    # name: better, bound, parent runs, change runs, within_bound
+    cases = {
+        "higher_at_bound": ("higher", 0.25, [4.0] * 5, [3.0] * 5, True),
+        "higher_past_bound": ("higher", 0.25, [4.0] * 5, [2.9] * 5, False),
+        "higher_gain": ("higher", 0.25, [4.0] * 5, [5.0] * 5, True),
+        "lower_inside": ("lower", 0.1, [50.0] * 5, [54.0] * 5, True),
+        "lower_past_bound": ("lower", 0.1, [50.0] * 5, [56.0] * 5, False),
+        # four of five pairs lost by far, but the median is inside the bound
+        "median_inside": ("higher", 0.25, [4.0] * 5, [1.0, 1.0, 3.5, 5.0, 5.0], True),
+        "no_bound": ("higher", None, [4.0] * 5, [1.0] * 5, None),
+    }
+    checkouts = {}
+    for i, side in enumerate(("parent", "change")):
+        root = checkouts[side] = tmp_path / side
+        (root / "bench").mkdir(parents=True)
+        series = {name: case[2 + i] for name, case in cases.items()}
+        (root / "bench" / "run.py").write_text(_FAKE_SERIES.format(series=series))
+        (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": name, "better": case[0],
+             **({} if case[1] is None else {"bound": case[1]})}
+            for name, case in cases.items()]}))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    out = tmp_path / "report.json"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+                 "--workloads", "decode", "--pairs", "5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["workloads"]["decode"]["seed_1"]
+    for name, (*_, within) in cases.items():
+        assert report[name].get("within_bound") is within, name
 
 
 def test_bench_pairs_control_runs_in_every_pair_and_its_offset_bounds_a_claim(tmp_path):

@@ -323,6 +323,22 @@ def test_beam_memory_grows_with_its_prefixes_not_its_width():
     assert _pairs(wide) == _pairs(prefix_beam_search(grid, 201, 4))
 
 
+def test_beam_memory_at_a_wide_alphabet_grows_with_its_prefixes_not_its_width():
+    """One frame over 100 symbols makes at most 101 prefixes, so a width of
+    10**4 never fills; a per-frame table sized by the width (10**4 rows of
+    101 cells) would take 8 MB."""
+    symbols = tuple(f"p{i:02d}" for i in range(100))
+    grid = synth.random_grid(np.random.default_rng(0), frames=1, symbols=symbols)
+    tracemalloc.start()
+    try:
+        wide = prefix_beam_search(grid, 10**4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _pairs(wide) == _pairs(prefix_beam_search(grid, 101, 4))
+
+
 def test_beam_scores_are_python_floats():
     rng = np.random.default_rng(4)
     hyps = prefix_beam_search(make_grid(rng, frames=3), 8, 4)

@@ -505,6 +505,32 @@ def test_prefix_beam_search_equals_full_sort_on_long_narrow_beams(seed, beam_wid
     assert _bits((h.sequence, h.log_score) for h in got) == _bits(want)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("beam_width", [1, 2, 16])
+def test_prefix_beam_search_equals_full_sort_when_no_member_or_every_member_extends(
+        seed, beam_width):
+    """After one ordinary row, which leaves members of lengths 0 and 1, rows
+    alternate between a certain blank (a -0.0 blank, LOG_ZERO labels) and a
+    LOG_ZERO blank. On the first kind no member extends, so the next state
+    is only gathered. On the second a member stays only as the target of
+    its parent's extension, so nearly every row of the next state is
+    patched, and at width 1 every row but the dead slot is."""
+    rng = np.random.default_rng(seed)
+    symbols = tuple(f"p{i}" for i in range(1 + seed % 4))
+    frames = int(rng.integers(4, 11))
+    logp = np.full((frames, len(symbols) + 1), LOG_ZERO)
+    logp[:, 1:] = np.log(rng.dirichlet(np.ones(len(symbols)), size=frames))
+    logp[0] = np.log(rng.dirichlet(np.ones(len(symbols) + 1)))
+    certain = logp[1 + seed % 2::2]
+    certain[:] = LOG_ZERO
+    certain[:, BLANK] = -0.0
+    grid = PosteriorGrid("u", Alphabet(symbols), logp)
+    for k in sorted({1, min(2, beam_width), min(5, beam_width), beam_width}):
+        got = prefix_beam_search(grid, beam_width, k)
+        assert _bits((h.sequence, h.log_score) for h in got) == \
+            _bits(_reference_beam(grid, beam_width, k))
+
+
 # ---- reference: each sampled marginal's own sum ---------------------------
 
 
