@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -370,6 +371,7 @@ def _add_option(p: argparse.ArgumentParser, name: str) -> None:
                        choices=f.metadata["choices"])
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2g",

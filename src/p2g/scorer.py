@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, filterfalse, islice, repeat
@@ -63,15 +63,22 @@ class ConditionalScorer(Protocol):
                        max_len: int = 64) -> list[tuple[TargetText, float]]: ...
 
 
-StateKey = tuple[tuple[str, ...], tuple[str, ...]]
+Units = tuple[str, ...]  # a phoneme window or a history of output units
+StateKey = tuple[Units, Units]  # (window, history)
 Row = tuple[float, dict[str, float]]  # (floor log-prob, {counted unit: log-prob})
 Kids = tuple[float, tuple[tuple[float, str], ...]]  # (end-marker lp, children)
+Step = tuple[dict[Units, Row], Row, str]  # ({window: row}, floor row, unit)
+
+_NO_ROWS: dict = {}  # the table of a history without counts: every window reads the floor
 
 
 @dataclass(frozen=True, eq=True)
 class NGramScorer:
     """Count tables plus smoothing config; immutable once trained. The row and
-    children tables (``_rows``, ``_children``) are built whole on first read."""
+    children tables (``_rows``, ``_children``) are built whole on first read and
+    keyed history first, ``{history: {window: row}}``: a text fixes the history
+    of each of its steps, so the scoring plan of a text (``_plan``) holds each
+    step's ``{window: row}`` table, and a phoneme sequence only picks windows."""
 
     order: int
     smoothing_alpha: float
@@ -116,7 +123,7 @@ class NGramScorer:
 
     # ---- state handling ------------------------------------------------
 
-    def _windows(self, phonemes: Sequence[str]) -> list[tuple[str, ...]]:
+    def _windows(self, phonemes: Sequence[str]) -> list[Units]:
         """The phoneme window of steps 0, 1, ...; steps past the end read the last.
         Step 0 reads the head window, step s >= 1 that of phoneme s - 1."""
         phonemes, w = tuple(phonemes), self.context_window
@@ -124,24 +131,30 @@ class NGramScorer:
                 for pos in range(len(phonemes))] or [()]
         return wins[:1] + wins
 
+    def _hists(self, stream: Sequence[str]) -> list[Units]:
+        """The history of every step of ``stream``: the last ``order - 1`` units
+        before it, padded with BOS."""
+        need = self.order - 1
+        padded = (BOS,) * need + tuple(stream[:-1])
+        return [padded[i:i + need] for i in range(len(stream))]
+
     def _keys(self, phonemes: Sequence[str], stream: Sequence[str]) -> Iterator[StateKey]:
         """The state key of every step of ``stream``: the step's ``_windows`` entry
-        and the last ``order - 1`` units before it, padded with BOS."""
-        wins, need = self._windows(phonemes), self.order - 1
-        padded = (BOS,) * need + tuple(stream[:-1])
-        hists = zip(*(padded[i:] for i in range(need))) if need else repeat((), len(stream))
-        return zip(chain(wins, repeat(wins[-1])), hists)
+        and its ``_hists`` entry."""
+        wins = self._windows(phonemes)
+        return zip(chain(wins, repeat(wins[-1])), self._hists(stream))
 
     @cached_property
-    def _rows(self) -> tuple[tuple[dict[StateKey, Row], Row], ...]:
+    def _rows(self) -> tuple[tuple[dict[Units, dict[Units, Row]], Row], ...]:
         """The one definition of the smoothed step distributions, built whole on first
         read, for step 0 and for later steps (at order 1 they share state keys): the
-        row of each key whose counts meet the step's candidate set C, and the floor row
-        every other key reads. With n the key's counts in C and ``denom = sum(n) + alpha
-        * |C|``, a row is the floor ``log(alpha / denom)`` of every zero-count candidate
-        (and unit outside C) and ``log((n + alpha) / denom)`` of each candidate in n.
-        Keys with equal n share one row object, memoized on (C, n): both floor rows
-        have no counts, so C keeps them apart."""
+        ``{history: {window: row}}`` table of the keys whose counts meet the step's
+        candidate set C, and the floor row every other key reads. With n the key's
+        counts in C and ``denom = sum(n) + alpha * |C|``, a row is the floor
+        ``log(alpha / denom)`` of every zero-count candidate (and unit outside C) and
+        ``log((n + alpha) / denom)`` of each candidate in n. Keys with equal n share
+        one row object, memoized on (C, n): both floor rows have no counts, so C keeps
+        them apart."""
         def row(bucket: dict[str, int], cands: frozenset[str]) -> Row:
             if not bucket.keys() <= cands:  # only at order 1 do both step kinds share a key
                 bucket = {u: n for u, n in bucket.items() if u in cands}
@@ -153,22 +166,29 @@ class NGramScorer:
                     {u: math.log((n + alpha) / denom) for u, n in bucket.items()})
             return got
 
+        def table(cands: frozenset[str]) -> dict[Units, dict[Units, Row]]:
+            by_hist: dict[Units, dict[Units, Row]] = {}
+            for (win, hist), bucket in self.counts.items():
+                if not cands.isdisjoint(bucket):
+                    by_hist.setdefault(hist, {})[win] = row(bucket, cands)
+            return by_hist
+
         alpha, memo = self.smoothing_alpha, {}
-        return tuple(({key: row(bucket, cands) for key, bucket in self.counts.items()
-                       if not cands.isdisjoint(bucket)}, row({}, cands))
+        return tuple((table(cands), row({}, cands))
                      for cands in self._cand_sets)  # type: ignore[attr-defined]
 
     def _row(self, key: StateKey, step: int) -> Row:
         """The ``_rows`` row that ``key`` reads at ``step``."""
-        rows, floor = self._rows[step > 0]
-        return rows.get(key, floor)
+        tables, floor = self._rows[step > 0]
+        win, hist = key
+        return tables.get(hist, _NO_ROWS).get(win, floor)
 
-    def _children(self, width: int) -> tuple[tuple[dict[StateKey, Kids], Kids], ...]:
+    def _children(self, width: int) -> tuple[tuple[dict[Units, dict[Units, Kids]], Kids], ...]:
         """``_rows`` with each row mapped to the end marker's log-prob and the
         ``(lp, unit)`` children an entry grows by, sorted by ``(-lp, unit)``: the
         counted units and the first ``width`` zero-count ones in string order.
-        Built whole on the first read of each width; keys sharing a row object
-        share its children."""
+        Keyed history first like ``_rows`` and built whole on the first read of
+        each width; keys sharing a row object share its children."""
         def grow(row: Row, order: Sequence[str]) -> Kids:
             if (got := grown.get(id(row))) is None:
                 floor, seen = row
@@ -184,28 +204,42 @@ class NGramScorer:
             # a row object belongs to one step kind, so its id fixes the order too
             grown: dict[int, Kids] = {}
             orders = (sorted(c - {EOS}) for c in self._cand_sets)  # type: ignore[attr-defined]
-            kids[width] = tuple(({key: grow(row, order) for key, row in rows.items()},
-                                 grow(floor, order))
-                                for (rows, floor), order in zip(self._rows, orders))
+            kids[width] = tuple(({hist: {win: grow(row, order) for win, row in by_win.items()}
+                                  for hist, by_win in tables.items()}, grow(floor, order))
+                                for (tables, floor), order in zip(self._rows, orders))
         return kids[width]
 
     # ---- scoring -------------------------------------------------------
 
+    def _plan(self, y: TargetText) -> list[Step]:
+        """What scoring ``y`` reads under any phonemes: for each step of its stream
+        ``<lid> g_1 ... g_L <eos>``, the ``_rows`` table of the step's history
+        (``_NO_ROWS`` without counts), the step kind's floor row and the step's
+        unit. Built once per ``TargetText`` object; the last one is kept, so
+        scoring one text under k hypotheses builds it once."""
+        last = self.__dict__.get("_last_plan")
+        if last is not None and last[0] is y:
+            return last[1]
+        if y.lid not in self.languages:
+            raise ValueError(f"unknown language {y.lid!r}")
+        stream = (lid_token(y.lid), *y.graphemes, EOS)
+        kinds = chain(self._rows[:1], repeat(self._rows[1]))  # step 0, then later steps
+        plan = [(tables.get(hist, _NO_ROWS), floor, unit)
+                for (tables, floor), hist, unit in zip(kinds, self._hists(stream), stream)]
+        self.__dict__["_last_plan"] = (y, plan)
+        return plan
+
     def step_log_probs(self, y: TargetText, phonemes: Sequence[str]) -> list[float]:
-        """Per-step conditional log-probs for lid, each grapheme, and eos.
+        """Per-step conditional log-probs for lid, each grapheme, and eos: each
+        step of ``_plan(y)`` reads the row of its ``_windows`` entry, and steps
+        past the last phoneme read the last window.
 
         Unknown graphemes fall back to the smoothing floor, but an unknown
         language has no lid token in the step-0 candidate set at all, so it
         cannot be scored."""
-        if y.lid not in self.languages:
-            raise ValueError(f"unknown language {y.lid!r}")
-        stream = (lid_token(y.lid), *y.graphemes, EOS)
-        keys = self._keys(phonemes, stream)
-        floor, seen = self._row(next(keys), 0)
-        rows, floor_row = self._rows[1]
-        return [seen.get(stream[0], floor)] + [
-            (row := rows.get(key, floor_row))[1].get(unit, row[0])
-            for key, unit in zip(keys, stream[1:])]
+        plan, wins = self._plan(y), self._windows(phonemes)
+        return [(row := table.get(win, floor))[1].get(unit, row[0])
+                for (table, floor, unit), win in zip(plan, chain(wins, repeat(wins[-1])))]
 
     def log_score(self, y: TargetText, phonemes: Sequence[str]) -> float:
         """log p(y.lid, y.graphemes, eos | phonemes); always finite and <= 0."""
@@ -226,8 +260,9 @@ class NGramScorer:
         because each shortcut below is exact:
 
         - An entry grows by the units in its row's count bucket plus only
-          the first ``width`` zero-count units in string order, read with
-          one lookup in the ``_children`` table of this width. Its
+          the first ``width`` zero-count units in string order, read from
+          the ``_children`` table of this width by the entry's history, then
+          by the window that every entry of the level shares. Its
           zero-count children tie on score and break the tie on the stream
           tuple, which they share up to that last unit, so no other
           zero-count child can rank among the ``width`` kept.
@@ -285,7 +320,7 @@ class NGramScorer:
             for neg, stream in layer:
                 if neg > thr and neg > cutoff:
                     break
-                end, children = kids.get((ctx, (pad + stream)[step:]), floor)
+                end, children = kids.get((pad + stream)[step:], _NO_ROWS).get(ctx, floor)
                 if step:
                     done = neg - end
                     if done <= cutoff:
@@ -315,23 +350,24 @@ def train_scorer(pairs: Sequence[tuple[Sequence[str], TargetText]], order: int =
     """
     if not pairs:
         raise ValueError("training needs at least one pair")
-    languages = tuple(sorted({text.lid for _, text in pairs}))
-    units = tuple(sorted({ch for _, text in pairs for ch in text.graphemes}))
-    probe = NGramScorer(order=order, smoothing_alpha=smoothing_alpha,
-                        context_window=context_window, languages=languages,
-                        units=units, counts={})
     # oversampled copies repeat whole pairs: walk each distinct pair once and
     # add its multiplicity; first-occurrence order keeps the key order too
     distinct = Counter((tuple(phonemes), text) for phonemes, text in pairs)
-    counts: dict[StateKey, Counter] = defaultdict(Counter)
+    languages = tuple(sorted({text.lid for _, text in distinct}))
+    units = tuple(sorted({ch for _, text in distinct for ch in text.graphemes}))
+    probe = NGramScorer(order=order, smoothing_alpha=smoothing_alpha,
+                        context_window=context_window, languages=languages,
+                        units=units, counts={})
+    counts: dict[StateKey, dict[str, int]] = {}
     for (phonemes, text), m in distinct.items():
         stream = (lid_token(text.lid), *text.graphemes, EOS)
         for key, unit in zip(probe._keys(phonemes, stream), stream):
-            counts[key][unit] += m
-    table = {key: dict(bucket) for key, bucket in counts.items()}
+            if (bucket := counts.get(key)) is None:
+                bucket = counts[key] = {}
+            bucket[unit] = bucket.get(unit, 0) + m
     return NGramScorer(order=order, smoothing_alpha=smoothing_alpha,
                        context_window=context_window, languages=languages,
-                       units=units, counts=table)
+                       units=units, counts=counts)
 
 
 def save_scorer(scorer: NGramScorer, path) -> None:

@@ -144,6 +144,21 @@ def test_flag_surface_is_pinned():
     assert got == FLAG_SURFACE
 
 
+def test_one_parser_per_process_keeps_no_flag_between_calls(workdir, tmp_path):
+    """``main`` reuses one parser per process; a flag given to one call does
+    not carry over to the next, which gets the option's default."""
+    assert cli.build_parser() is cli.build_parser()
+    base = ["beam", "--in", str(workdir / "grids.jsonl")]
+    out = {name: tmp_path / f"{name}.jsonl" for name in ("k1", "default", "k8")}
+    assert cli.main(base + ["--out", str(out["k1"]), "--k", "1"]) == 0
+    assert cli.main(base + ["--out", str(out["default"])]) == 0
+    assert cli.main(base + ["--out", str(out["k8"]), "--k", "8"]) == 0
+    hyps = {name: [len(json.loads(line)["hyps"]) for line in path.read_text().splitlines()]
+            for name, path in out.items()}
+    assert max(hyps["k1"]) == 1 < max(hyps["default"])
+    assert out["default"].read_bytes() == out["k8"].read_bytes()
+
+
 # ---- exit codes ---------------------------------------------------------
 
 

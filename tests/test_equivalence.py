@@ -29,13 +29,17 @@ blank merge is one ``np.logaddexp``, which differs from ``log_add`` only on
 a -0.0 mass, so the beam cases include one-hot rows whose cell is -0.0.
 ``train_scorer`` walks each distinct pair once and adds its multiplicity;
 the reference counts pair by pair.
-``log_score``, ``step_log_probs`` and ``train_scorer`` take every step's
-state key from one ``_keys`` walk, and ``generate_top_s`` takes each level's
-window from the same ``_windows``; the reference is the test-local
-``_state_key``, called step by step. The row and children tables hold exactly
-the keys whose counts meet each step kind's candidate set, including a key
-counted only at 0 and, at order 1, a key counted for one kind and not the
-other; keys with equal counts share one row and one children entry.
+``train_scorer`` takes every step's state key from one ``_keys`` walk;
+``log_score`` and ``step_log_probs`` read each step's history table from the
+text's cached plan and its window from ``_windows``, and ``generate_top_s``
+takes each level's window from the same ``_windows``; the reference is the
+test-local ``_state_key``, called step by step. The plan cache holds the last
+text object of one scorer: texts in any order, equal but distinct objects and
+two scorers sharing a text all read a fresh scorer's bits. The row and
+children tables, keyed history first and flattened by ``_flat`` here, hold
+exactly the keys whose counts meet each step kind's candidate set, including
+a key counted only at 0 and, at order 1, a key counted for one kind and not
+the other; keys with equal counts share one row and one children entry.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ import math
 import random
 import tempfile
 from collections import Counter, defaultdict
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -810,6 +816,13 @@ def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
     _assert_whole_tables(scorer, ("p9",) * (2 * window + 1))
 
 
+def _flat(tables):
+    """A history-first ``{hist: {window: value}}`` table as the flat
+    ``{(window, hist): value}`` one, with the same value objects."""
+    return {(win, hist): value for hist, by_win in tables.items()
+            for win, value in by_win.items()}
+
+
 def _assert_whole_tables(scorer, unseen_ctx):
     """Each step kind's row table holds exactly the keys whose counts meet its
     candidate set, a key without counts reads the floor row itself, and the
@@ -818,14 +831,16 @@ def _assert_whole_tables(scorer, unseen_ctx):
     lids = {lid_token(c) for c in scorer.languages}
     unseen = (unseen_ctx, (BOS,) * (scorer.order - 1))
     assert unseen not in scorer.counts
-    for step, (cands, (rows, floor)) in enumerate(
+    for step, (cands, (tables, floor)) in enumerate(
             zip((lids, {*scorer.units, EOS}), scorer._rows)):  # type: ignore[attr-defined]
+        rows = _flat(tables)
         assert set(rows) == {key for key, bucket in scorer.counts.items()
                              if not cands.isdisjoint(bucket)}
         assert scorer._row(unseen, step) is floor
         assert floor[1] == {} and \
             {lp for _, lp in _reference_distribution(scorer, unseen, step)} == {floor[0]}
-        narrow, wide = scorer._children(1)[step], scorer._children(3)[step]
+        narrow, wide = [(_flat(kids), floor_kids) for kids, floor_kids in
+                        (scorer._children(1)[step], scorer._children(3)[step])]
         assert set(narrow[0]) == set(wide[0]) == set(rows)
         for key in [*rows, None]:
             (end, kids), seen = (wide[0][key], rows[key][1]) if key else (wide[1], {})
@@ -844,7 +859,8 @@ def test_order_1_tables_keep_step_kinds_apart():
                          counts={(ctx[0], ()): {"<lid:xa>": 2, "a": 0},
                                  (ctx[1], ()): {"<lid:xb>": 1},
                                  (ctx[2], ()): {"b": 0}})
-    (rows0, _), (rows1, floor1) = scorer._rows  # type: ignore[attr-defined]
+    (tables0, _), (tables1, floor1) = scorer._rows  # type: ignore[attr-defined]
+    rows0, rows1 = _flat(tables0), _flat(tables1)
     assert set(rows0) == {(ctx[0], ()), (ctx[1], ())}
     assert set(rows1) == {(ctx[0], ()), (ctx[2], ())}
     assert scorer._row((ctx[1], ()), 1) is floor1
@@ -884,8 +900,10 @@ def test_keys_with_equal_counts_share_one_row_and_its_children(order):
     assert floor0 == (math.log(alpha / (2 * alpha)), {})
     assert floor1 == (math.log(alpha / (3 * alpha)), {})
     for step, cands in enumerate(({"<lid:xa>", "<lid:xb>"}, {"a", "b", EOS})):
-        rows, floor = scorer._rows[step]  # type: ignore[attr-defined]
-        kids = [scorer._children(width)[step] for width in (1, 3)]
+        tables, floor = scorer._rows[step]  # type: ignore[attr-defined]
+        rows = _flat(tables)
+        kids = [(_flat(table), floor_kids)
+                for table, floor_kids in (scorer._children(width)[step] for width in (1, 3))]
         first: dict = {}
         for key, bucket in counts.items():
             counted = {u: c for u, c in bucket.items() if u in cands}
@@ -909,3 +927,100 @@ def test_keys_with_equal_counts_share_one_row_and_its_children(order):
         assert len({id(rows[key]) for key in first.values()}) == len(first)
         assert not any(row is floor0 or row is floor1 for row in rows.values())
     _assert_whole_tables(scorer, ("p99",))
+
+
+# ---- the per-text score plan ------------------------------------------------
+
+
+def _reference_steps(ref, y, phonemes):
+    """Each step's log-prob, read row by row along the ``_state_key`` walk."""
+    stream = (lid_token(y.lid), *y.graphemes, EOS)
+    return [(row := ref._row(_state_key(ref, phonemes, step, stream[:step]), step))[1]
+            .get(unit, row[0]) for step, unit in enumerate(stream)]
+
+
+def _fresh(scorer):
+    """A copy of ``scorer`` with no table and no plan built yet."""
+    return dataclasses.replace(scorer)
+
+
+def _hexes(values):
+    return [float.hex(v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       order=st.integers(min_value=1, max_value=4),
+       window=st.integers(min_value=0, max_value=2))
+def test_plan_cache_scores_texts_in_any_order_as_a_fresh_scorer(seed, order, window):
+    """Texts scored in the order A, B, A, then as equal but distinct objects,
+    each under several phoneme sequences in turn, read the bits a fresh scorer
+    reads for that one call, and the ``_state_key`` walk's."""
+    rnd = random.Random(seed)
+    alpha = rnd.choice([1e-30, 0.05, 0.5, 1])
+    pairs = [(_phones(rnd, ["p0", "p1", "p2"], 5),
+              TargetText(rnd.choice(["xa", "xb"]),
+                         "".join(rnd.choices("abc", k=rnd.randint(0, 8)))))
+             for _ in range(rnd.randint(1, 8))]
+    scorer = train_scorer(pairs, order=order, smoothing_alpha=alpha, context_window=window)
+    ref = _reference_train(pairs, order, alpha, window)
+    a, b = (TargetText(rnd.choice(scorer.languages),
+                       "".join(rnd.choices("abcz", k=rnd.randint(0, 6)))) for _ in range(2))
+    for y in (a, b, a, TargetText(a.lid, a.graphemes), TargetText(b.lid, b.graphemes)):
+        for phonemes in [_phones(rnd, ["p0", "p1", "p2", "p3"], 6) for _ in range(3)]:
+            want = _reference_steps(ref, y, phonemes)
+            assert _hexes(scorer.step_log_probs(y, list(phonemes))) == _hexes(want)
+            assert float.hex(scorer.log_score(y, phonemes)) == \
+                float.hex(_fresh(scorer).log_score(y, phonemes)) == \
+                float.hex(reduce(add, want, 0.0))
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_plan_matches_the_state_key_walk_on_empty_phonemes_and_long_texts(order):
+    """One text object under no phonemes, then under phoneme sequences much
+    shorter than it, where every step past the last phoneme reads its window."""
+    pairs = [(("p0", "p1", "p2"), TargetText("xa", "abcab")), ((), TargetText("xb", "ba")),
+             (("p2",), TargetText("xa", "cccccccc"))]
+    scorer = train_scorer(pairs, order=order, smoothing_alpha=0.5, context_window=1)
+    ref = _reference_train(pairs, order, 0.5, 1)
+    for y in (TargetText("xa", "abcabcabcc"), TargetText("xb", ""), TargetText("xa", "cccccccc")):
+        for phonemes in [(), ("p2",), ("p0", "p1"), (), ("p9", "p2", "p0")]:
+            want = _reference_steps(ref, y, phonemes)
+            assert _hexes(scorer.step_log_probs(y, phonemes)) == _hexes(want)
+            assert float.hex(scorer.log_score(y, phonemes)) == float.hex(reduce(add, want, 0.0))
+
+
+def test_unknown_language_raises_right_after_a_known_text():
+    """The language check runs on every plan build: a text of an unknown
+    language raises after a known one was scored, every time, and leaves the
+    known text's scores as they were."""
+    scorer = train_scorer([(("p0",), TargetText("xa", "ab")), (("p1",), TargetText("xb", "b"))],
+                          order=2)
+    known, unknown = TargetText("xa", "ab"), TargetText("xc", "ab")
+    want = [scorer.log_score(known, phonemes) for phonemes in [("p0",), ()]]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown language 'xc'"):
+            scorer.log_score(unknown, ("p0",))
+        with pytest.raises(ValueError, match="unknown language 'xc'"):
+            scorer.step_log_probs(unknown, ())
+        assert [scorer.log_score(known, phonemes) for phonemes in [("p0",), ()]] == want
+
+
+def test_two_scorers_never_share_a_plan():
+    """One text object scored by two scorers in turn reads each scorer's own
+    rows, and a language one scorer lacks raises there even right after the
+    other scored that very object."""
+    pairs = [(("p0", "p1"), TargetText("xa", "ab")), (("p1",), TargetText("xb", "ba")),
+             (("p0",), TargetText("xa", "b"))]
+    one = train_scorer(pairs, order=2)
+    two = train_scorer([pairs[0]] * 3 + [pairs[2]], order=2, smoothing_alpha=0.5)
+    y = TargetText("xa", "ab")
+    for phonemes in [("p0", "p1"), (), ("p1",), ("p0", "p1")]:
+        for scorer in (one, two, one):
+            assert float.hex(scorer.log_score(y, phonemes)) == \
+                float.hex(_fresh(scorer).log_score(y, phonemes))
+    assert one.log_score(y, ("p0",)) != two.log_score(y, ("p0",))
+    lone = TargetText("xb", "ba")
+    one.log_score(lone, ("p1",))
+    with pytest.raises(ValueError, match="unknown language 'xb'"):
+        two.log_score(lone, ("p1",))
