@@ -323,7 +323,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_selftest(args, cfg: RunConfig) -> int:
-    return 0 if run_selftest(print) else 1
+    return 0 if run_selftest() else 1
 
 
 # ---- parser -------------------------------------------------------------

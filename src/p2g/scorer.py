@@ -72,13 +72,33 @@ Step = tuple[dict[Units, Row], Row, str]  # ({window: row}, floor row, unit)
 _NO_ROWS: dict = {}  # the table of a history without counts: every window reads the floor
 
 
+def _windows(phonemes: Sequence[str], w: int) -> Iterator[Units]:
+    """The phoneme window of steps 0, 1, ...: step 0 reads the head window, step
+    s >= 1 that of phoneme s - 1, and every step past the last phoneme reads the
+    last window, so the iterator never ends. The one statement of that clamp."""
+    phonemes = tuple(phonemes)
+    wins = [phonemes[pos - w if pos > w else 0:pos + w + 1]
+            for pos in range(len(phonemes))] or [()]
+    return chain(wins[:1], wins, repeat(wins[-1]))
+
+
+def _hists(stream: Sequence[str], order: int) -> list[Units]:
+    """The history of every step of ``stream``: the last ``order - 1`` units
+    before it, padded with BOS."""
+    need = order - 1
+    padded = (BOS,) * need + tuple(stream[:-1])
+    return [padded[i:i + need] for i in range(len(stream))]
+
+
 @dataclass(frozen=True, eq=True)
 class NGramScorer:
-    """Count tables plus smoothing config; immutable once trained. The row and
-    children tables (``_rows``, ``_children``) are built whole on first read and
-    keyed history first, ``{history: {window: row}}``: a text fixes the history
-    of each of its steps, so the scoring plan of a text (``_plan``) holds each
-    step's ``{window: row}`` table, and a phoneme sequence only picks windows."""
+    """Count tables plus smoothing config; immutable once trained. Training,
+    scoring and generation key each step by its ``_windows`` and ``_hists``
+    entries. The row and children tables (``_rows``, ``_children``) are built
+    whole on first read and keyed history first, ``{history: {window: row}}``:
+    a text fixes the history of each of its steps, so the scoring plan of a
+    text (``_plan``) holds each step's ``{window: row}`` table, and a phoneme
+    sequence only picks windows."""
 
     order: int
     smoothing_alpha: float
@@ -121,28 +141,7 @@ class NGramScorer:
         # candidates of step 0 (lid tokens) and of every later step
         object.__setattr__(self, "_cand_sets", cand_sets)
 
-    # ---- state handling ------------------------------------------------
-
-    def _windows(self, phonemes: Sequence[str]) -> list[Units]:
-        """The phoneme window of steps 0, 1, ...; steps past the end read the last.
-        Step 0 reads the head window, step s >= 1 that of phoneme s - 1."""
-        phonemes, w = tuple(phonemes), self.context_window
-        wins = [phonemes[pos - w if pos > w else 0:pos + w + 1]
-                for pos in range(len(phonemes))] or [()]
-        return wins[:1] + wins
-
-    def _hists(self, stream: Sequence[str]) -> list[Units]:
-        """The history of every step of ``stream``: the last ``order - 1`` units
-        before it, padded with BOS."""
-        need = self.order - 1
-        padded = (BOS,) * need + tuple(stream[:-1])
-        return [padded[i:i + need] for i in range(len(stream))]
-
-    def _keys(self, phonemes: Sequence[str], stream: Sequence[str]) -> Iterator[StateKey]:
-        """The state key of every step of ``stream``: the step's ``_windows`` entry
-        and its ``_hists`` entry."""
-        wins = self._windows(phonemes)
-        return zip(chain(wins, repeat(wins[-1])), self._hists(stream))
+    # ---- tables --------------------------------------------------------
 
     @cached_property
     def _rows(self) -> tuple[tuple[dict[Units, dict[Units, Row]], Row], ...]:
@@ -176,12 +175,6 @@ class NGramScorer:
         alpha, memo = self.smoothing_alpha, {}
         return tuple((table(cands), row({}, cands))
                      for cands in self._cand_sets)  # type: ignore[attr-defined]
-
-    def _row(self, key: StateKey, step: int) -> Row:
-        """The ``_rows`` row that ``key`` reads at ``step``."""
-        tables, floor = self._rows[step > 0]
-        win, hist = key
-        return tables.get(hist, _NO_ROWS).get(win, floor)
 
     def _children(self, width: int) -> tuple[tuple[dict[Units, dict[Units, Kids]], Kids], ...]:
         """``_rows`` with each row mapped to the end marker's log-prob and the
@@ -225,21 +218,21 @@ class NGramScorer:
         stream = (lid_token(y.lid), *y.graphemes, EOS)
         kinds = chain(self._rows[:1], repeat(self._rows[1]))  # step 0, then later steps
         plan = [(tables.get(hist, _NO_ROWS), floor, unit)
-                for (tables, floor), hist, unit in zip(kinds, self._hists(stream), stream)]
+                for (tables, floor), hist, unit in zip(kinds, _hists(stream, self.order), stream)]
         self.__dict__["_last_plan"] = (y, plan)
         return plan
 
     def step_log_probs(self, y: TargetText, phonemes: Sequence[str]) -> list[float]:
-        """Per-step conditional log-probs for lid, each grapheme, and eos: each
-        step of ``_plan(y)`` reads the row of its ``_windows`` entry, and steps
-        past the last phoneme read the last window.
+        """Per-step conditional log-probs for lid, each grapheme, and eos: the
+        steps of ``_plan(y)`` and the endless ``_windows`` walk, zipped, so each
+        step reads the row of its window (past the last phoneme, the last one).
 
         Unknown graphemes fall back to the smoothing floor, but an unknown
         language has no lid token in the step-0 candidate set at all, so it
         cannot be scored."""
-        plan, wins = self._plan(y), self._windows(phonemes)
+        wins = _windows(phonemes, self.context_window)
         return [(row := table.get(win, floor))[1].get(unit, row[0])
-                for (table, floor, unit), win in zip(plan, chain(wins, repeat(wins[-1])))]
+                for (table, floor, unit), win in zip(self._plan(y), wins)]
 
     def log_score(self, y: TargetText, phonemes: Sequence[str]) -> float:
         """log p(y.lid, y.graphemes, eos | phonemes); always finite and <= 0."""
@@ -262,7 +255,7 @@ class NGramScorer:
         - An entry grows by the units in its row's count bucket plus only
           the first ``width`` zero-count units in string order, read from
           the ``_children`` table of this width by the entry's history, then
-          by the window that every entry of the level shares. Its
+          by the level's window, the next of its ``_windows`` walk. Its
           zero-count children tie on score and break the tie on the stream
           tuple, which they share up to that last unit, so no other
           zero-count child can rank among the ``width`` kept.
@@ -296,7 +289,7 @@ class NGramScorer:
             raise ValueError("s must be >= 1")
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        wins, pad = self._windows(phonemes), (BOS,) * (self.order - 1)
+        wins, pad = _windows(phonemes, self.context_window), (BOS,) * (self.order - 1)
         width = beam_width if beam_width is not None else max(2 * s, 8)
         if width < 1:
             raise ValueError("beam_width must be >= 1")
@@ -313,7 +306,7 @@ class NGramScorer:
             kids, floor = tables[step > 0]
             # every entry of a level shares the window; pad + stream holds
             # order - 1 + step units, so its history is the slice from step
-            ctx = wins[min(step, len(wins) - 1)]
+            ctx = next(wins)
             grown: list[tuple[float, tuple[str, ...], str]] = []
             # children above thr cannot be kept; past max_len none may grow
             thr = math.inf if step <= max_len else -math.inf
@@ -355,13 +348,11 @@ def train_scorer(pairs: Sequence[tuple[Sequence[str], TargetText]], order: int =
     distinct = Counter((tuple(phonemes), text) for phonemes, text in pairs)
     languages = tuple(sorted({text.lid for _, text in distinct}))
     units = tuple(sorted({ch for _, text in distinct for ch in text.graphemes}))
-    probe = NGramScorer(order=order, smoothing_alpha=smoothing_alpha,
-                        context_window=context_window, languages=languages,
-                        units=units, counts={})
     counts: dict[StateKey, dict[str, int]] = {}
     for (phonemes, text), m in distinct.items():
         stream = (lid_token(text.lid), *text.graphemes, EOS)
-        for key, unit in zip(probe._keys(phonemes, stream), stream):
+        keys = zip(_windows(phonemes, context_window), _hists(stream, order))
+        for key, unit in zip(keys, stream):
             if (bucket := counts.get(key)) is None:
                 bucket = counts[key] = {}
             bucket[unit] = bucket.get(unit, 0) + m

@@ -325,7 +325,7 @@ CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
 )
 
 
-def run_selftest(echo=print) -> bool:
+def run_selftest() -> bool:
     """Run every check at quick scale, one PASS/FAIL line each. A check that
     raises fails with the exception's type and message, and the rest still
     run."""
@@ -340,5 +340,5 @@ def run_selftest(echo=print) -> bool:
             result = CheckResult(check.__name__, "no exception", False,
                                  f"{type(exc).__name__}: {exc}")
         ok = ok and result.passed
-        echo(result.line())
+        print(result.line())
     return ok

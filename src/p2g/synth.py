@@ -56,13 +56,6 @@ LANGUAGES = (
 )
 
 
-def corpus_alphabet(languages: tuple[SynthLanguage, ...] = LANGUAGES) -> Alphabet:
-    symbols: list[str] = []
-    for lang in languages:
-        symbols.extend(lang.phonemes)
-    return Alphabet(tuple(symbols))
-
-
 def _sample_utterance(rng: np.random.Generator, lang: SynthLanguage) -> tuple[tuple[str, ...], str]:
     words = int(rng.integers(1, 4))
     phonemes: list[str] = []
@@ -79,8 +72,7 @@ def _sample_utterance(rng: np.random.Generator, lang: SynthLanguage) -> tuple[tu
 
 
 def grid_for_phonemes(rng: np.random.Generator, alphabet: Alphabet,
-                      phonemes: tuple[str, ...], utterance_id: str,
-                      peak: float = 0.85) -> PosteriorGrid:
+                      phonemes: tuple[str, ...], utterance_id: str) -> PosteriorGrid:
     """A plausible posterior for the given reference: one or two frames peaked
     on each phoneme, blank-peaked frames in between (always between equal
     neighbours, so the reference stays reachable)."""
@@ -97,7 +89,7 @@ def grid_for_phonemes(rng: np.random.Generator, alphabet: Alphabet,
     rows = []
     for tgt in targets:
         noise = rng.dirichlet(np.ones(alphabet.size))
-        p = float(peak + 0.1 * rng.random())
+        p = float(0.85 + 0.1 * rng.random())
         row = (1.0 - p) * noise
         row[tgt] += p
         rows.append(row)
@@ -106,19 +98,17 @@ def grid_for_phonemes(rng: np.random.Generator, alphabet: Alphabet,
     return PosteriorGrid.renormalized(utterance_id, alphabet, logp)
 
 
-def build_corpus(seed: int, utts_per_lang: int = 6,
-                 languages: tuple[SynthLanguage, ...] = LANGUAGES,
-                 prefix: str = "utt") -> tuple[list[PosteriorGrid], CorpusManifest]:
-    """Aligned grids and manifest for a small multilingual corpus."""
+def build_corpus(seed: int, utts_per_lang: int = 6) -> tuple[list[PosteriorGrid], CorpusManifest]:
+    """Aligned grids and manifest for ``utts_per_lang`` utterances of each of ``LANGUAGES``."""
     if utts_per_lang < 1:
         raise ValueError("utts_per_lang must be >= 1")
-    alphabet = corpus_alphabet(languages)
+    alphabet = Alphabet(tuple(p for lang in LANGUAGES for p in lang.phonemes))
     rng = np.random.default_rng(seed)
     grids: list[PosteriorGrid] = []
     records: list[UtteranceRecord] = []
-    for lang in languages:
+    for lang in LANGUAGES:
         for i in range(utts_per_lang):
-            utt_id = f"{prefix}-{lang.code}-{i:03d}"
+            utt_id = f"utt-{lang.code}-{i:03d}"
             phonemes, text = _sample_utterance(rng, lang)
             grid = grid_for_phonemes(rng, alphabet, phonemes, utt_id)
             dur = round(grid.frames * 0.04 + float(rng.random()) * 0.2, 3)

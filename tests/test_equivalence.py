@@ -29,11 +29,11 @@ blank merge is one ``np.logaddexp``, which differs from ``log_add`` only on
 a -0.0 mass, so the beam cases include one-hot rows whose cell is -0.0.
 ``train_scorer`` walks each distinct pair once and adds its multiplicity;
 the reference counts pair by pair.
-``train_scorer`` takes every step's state key from one ``_keys`` walk;
-``log_score`` and ``step_log_probs`` read each step's history table from the
-text's cached plan and its window from ``_windows``, and ``generate_top_s``
-takes each level's window from the same ``_windows``; the reference is the
-test-local ``_state_key``, called step by step. The plan cache holds the last
+``train_scorer``, ``step_log_probs`` (so ``log_score``) and ``generate_top_s``
+take every step's window from one endless ``_windows`` walk and its history
+from ``_hists``, scoring through the text's cached plan; the reference is the
+test-local ``_state_key``, called step by step past the text's end, and the
+test-local ``_row`` reads the row of one key. The plan cache holds the last
 text object of one scorer: texts in any order, equal but distinct objects and
 two scorers sharing a text all read a fresh scorer's bits. The row and
 children tables, keyed history first and flattened by ``_flat`` here, hold
@@ -75,6 +75,8 @@ from p2g.scorer import (
     EOS,
     NGramScorer,
     TargetText,
+    _hists,
+    _windows,
     lid_token,
     save_scorer,
     train_scorer,
@@ -103,6 +105,13 @@ def _state_key(scorer, phonemes, step, history):
     if len(hist) < need:
         hist = (BOS,) * (need - len(hist)) + hist
     return ctx, hist
+
+
+def _row(scorer, key, step):
+    """The ``_rows`` row that ``key`` reads at ``step``."""
+    tables, floor = scorer._rows[step > 0]  # type: ignore[attr-defined]
+    win, hist = key
+    return tables.get(hist, {}).get(win, floor)
 
 
 def _reference_distribution(scorer, key, step):
@@ -777,7 +786,7 @@ def _phones(rnd, pool, most):
 def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
     """``log_score``, ``step_log_probs``, ``train_scorer`` and ``generate_top_s``
     walk state keys from ``_windows`` and read table rows inline; the reference calls
-    ``_row(_state_key(ref, phonemes, step, stream[:step]), step)`` step by step on
+    ``_row(ref, _state_key(ref, phonemes, step, stream[:step]), step)`` step by step on
     a separately trained copy (its own tables) and sums left to right. Phonemes
     may be empty, texts run past the phoneme sequence, and scored inputs use
     phonemes and letters never counted, so many keys have no counts."""
@@ -798,12 +807,14 @@ def test_scoring_and_training_equal_the_state_key_walk(seed, order, window):
         keys = [_state_key(ref, phonemes, step, stream[:step]) for step in range(len(stream))]
         want = []
         for step, (key, unit) in enumerate(zip(keys, stream)):
-            floor, seen = ref._row(key, step)
+            floor, seen = _row(ref, key, step)
             want.append(seen.get(unit, floor))
         total = 0.0
         for value in want:
             total += value
-        assert list(scorer._keys(list(phonemes), stream)) == keys
+        longer = stream + ("z",) * 3  # generation walks past the text's end
+        assert list(zip(_windows(list(phonemes), window), _hists(longer, order))) == \
+            [_state_key(ref, phonemes, step, longer[:step]) for step in range(len(longer))]
         for _ in range(2):  # tables built, then read again
             assert [float.hex(v) for v in scorer.step_log_probs(y, phonemes)] == \
                 [float.hex(v) for v in want]
@@ -836,7 +847,7 @@ def _assert_whole_tables(scorer, unseen_ctx):
         rows = _flat(tables)
         assert set(rows) == {key for key, bucket in scorer.counts.items()
                              if not cands.isdisjoint(bucket)}
-        assert scorer._row(unseen, step) is floor
+        assert _row(scorer, unseen, step) is floor
         assert floor[1] == {} and \
             {lp for _, lp in _reference_distribution(scorer, unseen, step)} == {floor[0]}
         narrow, wide = [(_flat(kids), floor_kids) for kids, floor_kids in
@@ -863,7 +874,7 @@ def test_order_1_tables_keep_step_kinds_apart():
     rows0, rows1 = _flat(tables0), _flat(tables1)
     assert set(rows0) == {(ctx[0], ()), (ctx[1], ())}
     assert set(rows1) == {(ctx[0], ()), (ctx[2], ())}
-    assert scorer._row((ctx[1], ()), 1) is floor1
+    assert _row(scorer, (ctx[1], ()), 1) is floor1
     assert rows1[(ctx[2], ())] == (floor1[0], {"b": floor1[0]})
     for phonemes in [(), ("p0",), ("p1", "p0"), ("p2", "p1", "p0"), ("p3",)]:
         for width in (1, 3):
@@ -935,7 +946,7 @@ def test_keys_with_equal_counts_share_one_row_and_its_children(order):
 def _reference_steps(ref, y, phonemes):
     """Each step's log-prob, read row by row along the ``_state_key`` walk."""
     stream = (lid_token(y.lid), *y.graphemes, EOS)
-    return [(row := ref._row(_state_key(ref, phonemes, step, stream[:step]), step))[1]
+    return [(row := _row(ref, _state_key(ref, phonemes, step, stream[:step]), step))[1]
             .get(unit, row[0]) for step, unit in enumerate(stream)]
 
 

@@ -316,3 +316,26 @@ def test_one_encoder_and_one_atomic_file_path():
     assert _modules_naming({"json.dump", "json.dumps", "json.JSONEncoder"}) <= {"ioutil.py"}
     assert _modules_naming({"os.open", "os.replace"}) == {"ioutil.py"}
     assert _modules_naming({"tempfile", "os.umask", "os.rename"}) == set()
+
+
+def test_every_private_name_is_read_in_the_package():
+    """Every private function or class (``_x``, not ``__x__``) that ``src/p2g``
+    defines at any depth, and every private name it assigns at module level, is
+    read somewhere in the package, as a name or an attribute: code only the
+    tests call is dead."""
+    defined, read = set(), set()
+    for path in sorted((Path(ioutil.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:  # module-level assignments
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            defined.update((path.name, t.id) for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((path.name, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    private = {(module, name) for module, name in defined
+               if name.startswith("_") and not name.endswith("__")}
+    assert sorted(pair for pair in private if pair[1] not in read) == []

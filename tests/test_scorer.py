@@ -17,7 +17,7 @@ from p2g.scorer import (
     save_scorer,
     train_scorer,
 )
-from test_equivalence import _state_key
+from test_equivalence import _row, _state_key
 
 
 def small_scorer(order=2, alpha=0.2, window=1):
@@ -196,7 +196,7 @@ def test_later_steps_form_sub_distribution():
     ph = ("k", "a", "t")
     for prefix in ("", "k", "ka", "zz"):
         step = len(prefix) + 1
-        floor, seen = sc._row(_state_key(sc, ph, step, (lid_token("xx"), *prefix)), step)
+        floor, seen = _row(sc, _state_key(sc, ph, step, (lid_token("xx"), *prefix)), step)
         total = sum(math.exp(seen.get(u, floor)) for u in sc.units + (EOS,))
         assert total == pytest.approx(1.0, abs=1e-12)
 
