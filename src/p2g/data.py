@@ -17,9 +17,10 @@ import numpy as np
 
 from .ctc import Alphabet, ScoredHypothesis
 from .ioutil import atomic_write, field, iter_jsonl, located, write_jsonl
-from .scorer import TargetText, lid_token
+from .scorer import TargetText, lid_code, lid_token
 
 IPA_TAG = "<ipa>"
+_LAYOUT = f"{IPA_TAG} p1 p2 ... | {lid_token('xx')} graphemes"
 
 
 @dataclass(frozen=True)
@@ -90,31 +91,20 @@ def serialize_training_line(phonemes: Sequence[str], text: TargetText) -> str:
 
 
 def parse_training_line(line: str) -> tuple[tuple[str, ...], TargetText]:
-    """Exact inverse of serialize_training_line on its valid output domain."""
-    prefix = IPA_TAG + " "
-    if not line.startswith(prefix):
-        raise ValueError(f"line does not start with {prefix!r}")
-    body = line[len(prefix):]
-    # phoneme tokens never contain '|', so the first separator is the real one
-    sep = body.find(" | ")
-    if sep < 0:
-        raise ValueError("missing ' | ' separator")
-    phoneme_part, rest = body[:sep], body[sep + 3:]
-    if phoneme_part:
-        tokens = tuple(phoneme_part.split(" "))
-        for tok in tokens:
-            if not tok:
-                raise ValueError("empty phoneme token")
-    else:
-        tokens = ()
-    if not rest.startswith("<lid:"):
-        raise ValueError("missing <lid:..> tag")
-    close = rest.find("> ")
-    if close < 0:
-        raise ValueError("unterminated <lid:..> tag")
-    code = rest[len("<lid:"):close]
-    graphemes = rest[close + 2:]
-    return tokens, TargetText(lid=code, graphemes=graphemes)
+    """Exact inverse of serialize_training_line: the first ' | ' ends the
+    phoneme field, as no writable token holds '|', and the next space ends
+    the lid tag, as no language id holds one. The line is accepted only when
+    serialize_training_line writes its pair back as the same line, so the
+    writer's token and line-break rules also govern reading."""
+    head, _, rest = line.partition(" | ")
+    ipa, _, phones = head.partition(" ")
+    tag, _, graphemes = rest.partition(" ")
+    code = lid_code(tag)
+    if ipa == IPA_TAG and code is not None:
+        pair = (tuple(phones.split(" ")) if phones else ()), TargetText(code, graphemes)
+        if serialize_training_line(*pair) == line:
+            return pair
+    raise ValueError(f"expected a training line {_LAYOUT!r}")
 
 
 def generate_danp(record: UtteranceRecord, hyps: Sequence[ScoredHypothesis],

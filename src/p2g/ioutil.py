@@ -16,17 +16,15 @@ T = TypeVar("T")
 
 
 class FormatError(ValueError):
-    """Malformed input file; carries the path and 1-based line number when known."""
+    """Malformed input file; the message names the path and 1-based line
+    number when known."""
 
     def __init__(self, message: str, *, path: str | os.PathLike | None = None,
                  line_no: int | None = None):
-        self.path = str(path) if path is not None else None
-        self.line_no = line_no
-        loc = ""
-        if self.path is not None:
-            loc = self.path if line_no is None else f"{self.path}, line {line_no}"
-            loc += ": "
-        super().__init__(loc + message)
+        if path is not None:
+            loc = str(path) if line_no is None else f"{path}, line {line_no}"
+            message = f"{loc}: {message}"
+        super().__init__(message)
 
 
 @contextmanager
@@ -36,7 +34,8 @@ def located(path: str | os.PathLike | None, line_no: int | None = None) -> Itera
     through unchanged.
 
     Invalid JSON with no ``line_no`` given is placed at the decoder's line.
-    An ``OverflowError`` is bad input too: a JSON integer too big for a float."""
+    An ``OverflowError`` is bad input too: a JSON integer too big for a float;
+    so is a ``RecursionError``: JSON nested deeper than the decoder's limit."""
     try:
         yield
     except FormatError:
@@ -44,7 +43,7 @@ def located(path: str | os.PathLike | None, line_no: int | None = None) -> Itera
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON ({exc.msg})", path=path,
                           line_no=exc.lineno if line_no is None else line_no) from exc
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(str(exc), path=path, line_no=line_no) from exc
 
 

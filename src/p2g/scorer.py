@@ -44,6 +44,16 @@ def lid_token(code: str) -> str:
     return f"<lid:{code}>"
 
 
+_LID_CODE = slice(len("<lid:"), -1)  # where a lid_token holds its code
+
+
+def lid_code(token: str) -> str | None:
+    """Inverse of lid_token: the code it writes as ``token``, or None when it
+    writes no such token."""
+    code = token[_LID_CODE]
+    return code if lid_token(code) == token else None
+
+
 @dataclass(frozen=True, order=True)
 class TargetText:
     """A language id plus its grapheme string. Ordering is lexicographic on
@@ -317,8 +327,7 @@ class NGramScorer:
                 if step:
                     done = neg - end
                     if done <= cutoff:
-                        completed.append((done, stream[0][len("<lid:"):-1],
-                                          "".join(stream[1:])))
+                        completed.append((done, stream[0][_LID_CODE], "".join(stream[1:])))
                 if len(children) >= width and (top := neg - children[width - 1][0]) < thr:
                     thr = top
                 for lp, unit in children:

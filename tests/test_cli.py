@@ -182,6 +182,31 @@ def _first_lines(path, n=2):
     return path.read_text(encoding="utf-8").splitlines()[:n]
 
 
+@pytest.mark.parametrize("source", ["grids", "scorer", "config"])
+def test_deeply_nested_json_exits_2_naming_the_file(workdir, tmp_path, capsys, source):
+    """JSON nested past the decoder's recursion limit is bad input, like any
+    other: a grids line, a scorer file or a config file of 100,000 open
+    brackets exits 2 naming the file (and the line of a grids file) rather
+    than crashing with a ``RecursionError``."""
+    deep = "[" * 100_000
+    bad = tmp_path / "deep.json"
+    out = tmp_path / "out.jsonl"
+    grids = str(workdir / "grids.jsonl")
+    if source == "grids":
+        bad.write_text("\n".join(_first_lines(workdir / "grids.jsonl", 1) + [deep]) + "\n",
+                       encoding="utf-8")
+        argv, where = ["beam", "--in", str(bad)], f"{bad}, line 2: "
+    elif source == "scorer":
+        bad.write_text(deep, encoding="utf-8")
+        argv, where = ["decode", "--grids", grids, "--scorer", str(bad)], f"{bad}: "
+    else:
+        bad.write_text(deep, encoding="utf-8")
+        argv, where = ["beam", "--in", grids, "--config", str(bad)], f"{bad}: "
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"p2g: {where}maximum recursion depth exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reader", ["grids", "manifest", "hyps", "training"])
 def test_every_line_reader_locates_a_bad_record(workdir, tmp_path, capsys, reader):
     """A bad record on line 3 of any line-oriented input exits 2 and names
@@ -207,6 +232,24 @@ def test_every_line_reader_locates_a_bad_record(workdir, tmp_path, capsys, reade
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(argv) == 2
     assert f"{bad}, line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, expect", [
+    ("<ipa> a\tb | <lid:xx> t", "phoneme token 'a\\tb' is empty or contains '|' or whitespace"),
+    ("<ipa> | a | <lid:xx> t", "expected a training line '<ipa> p1 p2 ... | <lid:xx> graphemes'"),
+], ids=["tab-in-token", "pipe-token"])
+def test_train_scorer_refuses_a_line_the_writer_cannot_write(workdir, tmp_path, capsys,
+                                                             line, expect):
+    """A training line is read only as ``augment`` writes it: a phoneme token
+    holding whitespace or '|' exits 2 at its line, and no scorer is trained on
+    a phoneme that no training line can hold."""
+    bad = tmp_path / "train.txt"
+    bad.write_text("\n".join(_first_lines(workdir / "train.txt", 1) + [line]) + "\n",
+                   encoding="utf-8")
+    out = tmp_path / "scorer.json"
+    assert cli.main(["train-scorer", "--in", str(bad), "--out", str(out)]) == 2
+    assert f"p2g: {bad}, line 2: {expect}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["beam", "sample", "decode", "score", "augment"])

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2g import cli
@@ -131,6 +131,29 @@ def test_round_trip_property(phonemes, graphemes, lid):
     text = TargetText(lid, graphemes)
     line = serialize_training_line(phonemes, text)
     assert parse_training_line(line) == (tuple(phonemes), text)
+
+
+# strings built from the pieces of a training line's layout and from the
+# characters a token may not hold: '|' and whitespace other than a space
+_hostile = st.lists(st.sampled_from([
+    " ", "|", "\t", "\xa0", "\u2028", "<", ">", ":", "<ipa>", "<lid:xx>",
+    "<ipa> ", " | ", "<lid:xx> ", "a", "b", "x"]), max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_hostile, st.tuples(_hostile, _hostile).map(
+    lambda parts: "<ipa> {} | <lid:xx> {}".format(*parts))))
+@example("<ipa> | a | <lid:xx> t")
+@example("<ipa> a\tb | <lid:xx> t")
+def test_parse_accepts_only_what_serialize_writes(line):
+    """Every line that ``parse_training_line`` accepts is the line that
+    ``serialize_training_line`` writes for the pair it returns, so no token
+    the writer refuses (one holding '|' or whitespace) is ever read."""
+    try:
+        phonemes, text = parse_training_line(line)
+    except ValueError:
+        return
+    assert serialize_training_line(phonemes, text) == line
 
 
 def test_training_lines_file_round_trip(tmp_path):

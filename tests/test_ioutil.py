@@ -318,6 +318,24 @@ def test_one_encoder_and_one_atomic_file_path():
     assert _modules_naming({"tempfile", "os.umask", "os.rename"}) == set()
 
 
+def test_only_scorer_spells_the_lid_tag():
+    """Outside docstrings, only ``scorer`` spells the ``<lid:`` tag in a
+    string: every other module writes and reads it through ``lid_token`` and
+    its inverse ``lid_code``."""
+    found = set()
+    for path in sorted((Path(ioutil.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and "<lid:" in node.value and id(node) not in docstrings
+               for node in ast.walk(tree)):
+            found.add(path.name)
+    assert found == {"scorer.py"}
+
+
 def test_every_private_name_is_read_in_the_package():
     """Every private function or class (``_x``, not ``__x__``) that ``src/p2g``
     defines at any depth, and every private name it assigns at module level, is

@@ -12,6 +12,7 @@ from p2g.scorer import (
     EOS,
     NGramScorer,
     TargetText,
+    lid_code,
     lid_token,
     load_scorer,
     save_scorer,
@@ -37,6 +38,18 @@ def small_scorer(order=2, alpha=0.2, window=1):
 def test_lid_token_format():
     assert lid_token("ky") == "<lid:ky>"
     assert lid_token("pt-br") == "<lid:pt-br>"
+
+
+@pytest.mark.parametrize("token, code", [
+    ("<lid:ky>", "ky"), ("<lid:pt-br>", "pt-br"), ("<lid:>", ""), ("<lid:a>b>", "a>b"),
+    ("<lid:xx", None), ("lid:xx>", None), ("<lid>", None), ("", None), ("a", None),
+])
+def test_lid_code_inverts_lid_token(token, code):
+    """``lid_code`` gives back the code that ``lid_token`` writes as the
+    token, and None for a string that it writes for no code."""
+    assert lid_code(token) == code
+    if code is not None:
+        assert lid_token(code) == token
 
 
 def test_target_text_rejects_bad_lid():
