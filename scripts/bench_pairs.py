@@ -38,8 +38,10 @@ output (``workloads[W]["seed_S"]``) holds:
   cover the runs that finished (wins: the pairs where both sides did)
 
 and ``code.src_lines`` of each checkout, counted as ``bench/run.py`` counts
-it. The report is always written; the exit status is 1 when a run exits
-non-zero or reports failed operations, or the digests differ.
+it, the ``machine`` the runs shared (CPU count, platform, Python and numpy
+versions) and the ``argv`` the script was run with. The report is always
+written; the exit status is 1 when a run exits non-zero or reports failed
+operations, or the digests differ.
 
 A gain or a loss is claimed only when the median gap exceeds both the
 parent's spread and the A/A offset; without ``--control``, ``claimable``
@@ -50,7 +52,10 @@ with ``--parent`` and ``--change`` on two clean copies of the parent.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -182,6 +187,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--out", type=Path, required=True)
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -198,6 +204,10 @@ def main(argv=None) -> int:
                   "spread = q3 - q1; change_wins (aa_wins) counts the pairs where the "
                   "change (the control, a second copy of the parent) is better.",
         "code.src_lines": {side: _src_lines(getattr(args, side)) for side in _sides(args)},
+        "machine": {"cpu_count": os.cpu_count(), "platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "numpy": importlib.metadata.version("numpy")},
+        "argv": [Path(__file__).name, *argv],
         "workloads": {w: {f"seed_{s}": _workload(args, w, s, spec)
                           for s in args.seeds} for w in args.workloads},
     }

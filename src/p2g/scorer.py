@@ -270,11 +270,18 @@ class NGramScorer:
           tuple, which they share up to that last unit, so no other
           zero-count child can rank among the ``width`` kept.
         - An entry walks those children best first and stops at the first
-          scoring strictly above ``thr``, the ``width``-th child score of some
-          entry of the level. Rounding is monotone, so a skipped child scores
-          at least that much, and ``width`` children at or below ``thr`` (ties
-          kept) rank first. The layer is sorted and a step adds <= 0, so an
-          entry above both ``thr`` and the completion cutoff ends the level.
+          scoring strictly above ``thr``. Each level starts ``thr`` at the
+          bound ``cutoff``, the s-th held completion's ``-score`` (+inf while
+          fewer than s are held), and lowers it to the ``width``-th child
+          score of any entry; an end-marker completion above ``cutoff`` is
+          dropped, and the first entry above it ends the level. This is
+          exact. Every step adds a log-prob <= 0 and rounding is monotone, so
+          a partial strictly worse than the held s-th completion yields only
+          strictly worse completions; the held s-th completion only
+          improves; and the ``width`` children at or below ``thr`` rank
+          first, so the width cut only loses partials worse still. Ties are
+          kept, so they still compete on the ``(lid, graphemes)`` tie-break.
+          The search ends at a level that grows nothing.
         - Entries are ``(-score, stream)`` tuples. A child is ``(-score,
           stream, unit)`` until it is kept; all streams of a level have one
           length, so it orders as ``stream + (unit,)``. Each level sorts its
@@ -285,15 +292,6 @@ class NGramScorer:
           ``(-score, TargetText)``. They are sorted and cut to s on every
           level, since the cutoff reads the last; only the s returned become
           ``TargetText``.
-        - The held s-th best completion only improves within a level, so an
-          end-marker completion scoring strictly below it at the start of
-          the level can never enter the top s. A tie still competes on the
-          ``(lid, graphemes)`` tie-break.
-        - The search stops once s texts are complete and the best live
-          partial scores strictly below the s-th of them. Every step adds a
-          log-prob <= 0 and every later completion extends a partial of the
-          current level, so no later text can enter the top s; the test is
-          strict for the same tie-break.
         """
         if s < 1:
             raise ValueError("s must be >= 1")
@@ -311,17 +309,15 @@ class NGramScorer:
         tables, step = self._children(width), 0
         while layer and step <= max_len + 1:
             cutoff = completed[-1][0] if len(completed) == s else math.inf
-            if layer[0][0] > cutoff:
-                break
             kids, floor = tables[step > 0]
             # every entry of a level shares the window; pad + stream holds
             # order - 1 + step units, so its history is the slice from step
             ctx = next(wins)
             grown: list[tuple[float, tuple[str, ...], str]] = []
-            # children above thr cannot be kept; past max_len none may grow
-            thr = math.inf if step <= max_len else -math.inf
+            # children above thr cannot place; past max_len none may grow
+            thr = cutoff if step <= max_len else -math.inf
             for neg, stream in layer:
-                if neg > thr and neg > cutoff:
+                if neg > cutoff:
                     break
                 end, children = kids.get((pad + stream)[step:], _NO_ROWS).get(ctx, floor)
                 if step:

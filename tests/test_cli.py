@@ -4,6 +4,7 @@ import importlib
 import json
 import logging
 import math
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -989,6 +990,10 @@ def test_bench_pairs_control_runs_in_every_pair_and_its_offset_bounds_a_claim(tm
                                        "control", "change", "parent"] * 5
     result = json.loads(out.read_text())
     assert set(result["code.src_lines"]) == {"parent", "change", "control"}
+    assert result["argv"][0] == "bench_pairs.py" and result["argv"][-4:] == \
+        ["--pairs", "10", "--out", str(out)]
+    assert set(result["machine"]) == {"cpu_count", "platform", "python", "numpy"}
+    assert result["machine"]["cpu_count"] == os.cpu_count()
     report = result["workloads"]["decode"]["seed_1"]
     assert report["failed"]["control"] == [0] * 10 and report["digests_identical"]
     for name, (*_, aa_ratio, aa_wins, claimable) in cases.items():

@@ -6,10 +6,12 @@ bitwise-equal floats.
 for its width (its counted units plus the first ``width`` uncounted ones in
 string order, best first; a key without counts reads the floor row's),
 grows each entry only by the children scoring at or below the level's
-threshold ``thr``, ends a level at an entry above both ``thr`` and the
-completion cutoff, and stops as soon as no later completion can enter
-the top s. Its tie cases use alpha = 1e17 (where n + alpha == alpha) or an
-explicit count of 0, so counted children tie uncounted ones at ``thr``. The
+threshold ``thr``, which starts at the s-th held completion, and ends a
+level at the first entry scoring below that completion. Its tie cases use
+alpha = 1e17 (where n + alpha == alpha) or an explicit count of 0, so
+counted children tie uncounted ones at ``thr``, or a vanishing alpha, so a
+child ties the held completion. On a scorer trained from a synthetic
+corpus's beam hypotheses the bound skips about half the children. The
 reference grows every entry by every candidate, fully sorts each level, runs
 every one of the ``max_len + 1`` levels and recomputes each smoothed
 distribution from the raw counts. ``prefix_beam_search`` extends the whole
@@ -293,6 +295,48 @@ def test_generate_top_s_tie_at_cutoff_uses_text_order():
     got = scorer.generate_top_s((), 1)
     assert _bits(got) == _bits(_reference_generate(scorer, (), 1, 64, None))
     assert got == [(TargetText("xa", "a"), math.log(0.5))]
+
+
+def test_generate_top_s_grows_a_child_that_ties_the_held_completion():
+    """Children are grown up to the s-th held completion, ties included.
+
+    As above, <lid:xb> completes at level 1 with score log(1/2). On level 2
+    the partial <lid:xa> a grows "a" at that same score, and only that child
+    completes as "aa", which the tie-break puts first."""
+    lid_a, lid_b = "<lid:xa>", "<lid:xb>"
+    counts = {((), (BOS, BOS)): {lid_a: 5, lid_b: 5},
+              ((), (BOS, lid_a)): {"a": 5},
+              ((), (BOS, lid_b)): {EOS: 5},
+              ((), (lid_a, "a")): {"a": 5},
+              ((), ("a", "a")): {EOS: 5}}
+    scorer = NGramScorer(order=3, smoothing_alpha=1e-30, context_window=0,
+                         languages=("xa", "xb"), units=("a",), counts=counts)
+    got = scorer.generate_top_s((), 1)
+    assert _bits(got) == _bits(_reference_generate(scorer, (), 1, 64, None))
+    assert got == [(TargetText("xa", "aa"), math.log(0.5))]
+
+
+@pytest.fixture(scope="module")
+def beam_pairs():
+    """The top-4 beam hypotheses of every utterance of a synthetic corpus,
+    each paired with its utterance's text."""
+    grids, manifest = synth.build_corpus(1, utts_per_lang=10)
+    return [(grid.alphabet.to_symbols(h.sequence), rec.text)
+            for grid, rec in zip(grids, manifest.records)
+            for h in prefix_beam_search(grid, 16, 4)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_generate_top_s_equals_full_depth_on_a_trained_scorer(beam_pairs, order):
+    """A scorer of a corpus's whole inventory, where about half the children
+    a level would grow score below the held completions."""
+    scorer = train_scorer(beam_pairs, order=order)
+    for phonemes, _ in beam_pairs[::len(beam_pairs) // 20][:20]:
+        for s in (1, 2, 4):
+            for max_len in (3, 64):
+                got = scorer.generate_top_s(phonemes, s, max_len)
+                want = _reference_generate(scorer, phonemes, s, max_len, None)
+                assert _bits(got) == _bits(want)
 
 
 def _tie_scorer(case, table):
