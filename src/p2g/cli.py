@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import logging
 import math
 import os
@@ -400,8 +401,18 @@ def _setup_logging() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    The command runs with the cyclic garbage collector paused, and the
+    collector's state is put back on every way out, a raised exception
+    included. The package builds no reference cycles (a test runs every
+    pipeline command at two corpus sizes to pin this), so reference counting
+    frees all that a command drops, and the collector's passes would only
+    walk, again and again, the many small containers the loaders build."""
     _setup_logging()
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args, resolve_config(args))
     except (FormatError, OSError) as exc:
@@ -410,6 +421,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"p2g: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -231,17 +231,33 @@ def _row_cdf(grid: PosteriorGrid, temperature: float) -> np.ndarray:
     return cdf
 
 
+# cells (samples x frames x (V+1)) compared at once in sample_paths
+_SAMPLE_BLOCK = 1 << 20
+
+
 def sample_paths(grid: PosteriorGrid, k: int, rng: np.random.Generator,
                  temperature: float = 1.0) -> np.ndarray:
     """Draw k independent frame paths as a (k, T) index array; each frame is
-    an independent categorical draw from its posterior row."""
+    an independent categorical draw from its posterior row.
+
+    The label drawn by ``u`` at frame t is ``searchsorted(cdf[t], u,
+    side="right")``, computed as the count of ``cdf[t]`` entries <= ``u``,
+    for all draws and frames at once, a block of at most ``_SAMPLE_BLOCK``
+    cells at a time. The two are equal because each cdf row is
+    non-decreasing: a cumsum of non-negative terms divided by its positive
+    last entry, and rounding is monotone."""
     if k < 1:
         raise ValueError("k must be >= 1")
     cdf = _row_cdf(grid, temperature)
     u = rng.random((k, grid.frames))
     out = np.empty((k, grid.frames), dtype=np.int64)
-    for t in range(grid.frames):
-        out[:, t] = np.searchsorted(cdf[t], u[:, t], side="right")
+    width = cdf.shape[1]
+    draws = max(_SAMPLE_BLOCK // (grid.frames * width), 1)
+    span = max(_SAMPLE_BLOCK // (draws * width), 1)
+    for d in range(0, k, draws):
+        for t in range(0, grid.frames, span):
+            block = cdf[t:t + span] <= u[d:d + draws, t:t + span, None]
+            out[d:d + draws, t:t + span] = block.sum(axis=2)
     return out
 
 
@@ -381,10 +397,15 @@ def load_grids(path, renormalize: bool = False) -> list[PosteriorGrid]:
     the blank and ``logp`` rows are natural-log posteriors over
     [blank] + symbols. Every cell is a JSON number, or ``null`` for a
     zero-probability cell; any other cell is refused at its line. Ids are unique.
+    Grids with the same ``symbols`` share one ``Alphabet``.
     """
+    alphabets: dict[tuple[str, ...], Alphabet] = {}  # immutable, so grids share one
+
     def parse(obj: dict) -> PosteriorGrid:
         utt_id = field(obj, "id", str)
-        alphabet = Alphabet(tuple(field(obj, "symbols", list, items=str)))
+        symbols = tuple(field(obj, "symbols", list, items=str))
+        if (alphabet := alphabets.get(symbols)) is None:
+            alphabet = alphabets[symbols] = Alphabet(symbols)
         logp = field(obj, "logp", list, items=list)
         if not set(map(type, chain.from_iterable(logp))) <= {float, int, type(None)}:
             raise ValueError("a logp cell is neither a number nor null")

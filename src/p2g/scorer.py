@@ -161,30 +161,28 @@ class NGramScorer:
         candidate set C, and the floor row every other key reads. With n the key's
         counts in C and ``denom = sum(n) + alpha * |C|``, a row is the floor
         ``log(alpha / denom)`` of every zero-count candidate (and unit outside C) and
-        ``log((n + alpha) / denom)`` of each candidate in n. Keys with equal n share
-        one row object, memoized on (C, n): both floor rows have no counts, so C keeps
-        them apart."""
-        def row(bucket: dict[str, int], cands: frozenset[str]) -> Row:
-            if not bucket.keys() <= cands:  # only at order 1 do both step kinds share a key
-                bucket = {u: n for u, n in bucket.items() if u in cands}
-            if (got := memo.get(memo_key := (cands, frozenset(bucket.items())))) is None:
-                # integer counts, so their sum does not depend on the order
-                denom = sum(bucket.values()) + alpha * len(cands)
-                got = memo[memo_key] = (
-                    math.log(alpha / denom),
-                    {u: math.log((n + alpha) / denom) for u, n in bucket.items()})
-            return got
-
-        def table(cands: frozenset[str]) -> dict[Units, dict[Units, Row]]:
+        ``log((n + alpha) / denom)`` of each candidate in n. One loop per C, with one
+        memo keyed by n: keys with equal n share one row object, and each floor row,
+        which has no counts, is built apart from the memo."""
+        alpha, out = self.smoothing_alpha, []
+        for cands in self._cand_sets:  # type: ignore[attr-defined]
+            scale = alpha * len(cands)
             by_hist: dict[Units, dict[Units, Row]] = {}
+            memo: dict[frozenset, Row] = {}
             for (win, hist), bucket in self.counts.items():
-                if not cands.isdisjoint(bucket):
-                    by_hist.setdefault(hist, {})[win] = row(bucket, cands)
-            return by_hist
-
-        alpha, memo = self.smoothing_alpha, {}
-        return tuple((table(cands), row({}, cands))
-                     for cands in self._cand_sets)  # type: ignore[attr-defined]
+                if cands.isdisjoint(bucket):
+                    continue
+                if not bucket.keys() <= cands:  # only at order 1 do both step kinds share a key
+                    bucket = {u: n for u, n in bucket.items() if u in cands}
+                if (row := memo.get(n_key := frozenset(bucket.items()))) is None:
+                    # integer counts, so their sum does not depend on the order
+                    denom = sum(bucket.values()) + scale
+                    row = memo[n_key] = (
+                        math.log(alpha / denom),
+                        {u: math.log((n + alpha) / denom) for u, n in bucket.items()})
+                by_hist.setdefault(hist, {})[win] = row
+            out.append((by_hist, (math.log(alpha / scale), {})))
+        return tuple(out)
 
     def _children(self, width: int) -> tuple[tuple[dict[Units, dict[Units, Kids]], Kids], ...]:
         """``_rows`` with each row mapped to the end marker's log-prob and the

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2g import oracles, synth
+import p2g.ctc
+from p2g import cli, oracles, synth
 from p2g.ctc import (
     BLANK,
     Alphabet,
     PosteriorGrid,
+    _row_cdf,
     collapse,
     forward_logprob,
     load_grids,
@@ -237,6 +239,69 @@ def test_low_temperature_concentrates(tiny_alphabet):
     assert (paths == 1).all()
 
 
+class _FixedDraws:
+    """A generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, shape) -> np.ndarray:
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+def _searchsorted_paths(grid, k, rng, temperature=1.0):
+    """The per-frame sampler: one right-side ``searchsorted`` per frame."""
+    cdf = _row_cdf(grid, temperature)
+    u = rng.random((k, grid.frames))
+    return np.stack([np.searchsorted(cdf[t], u[:, t], side="right")
+                     for t in range(grid.frames)], axis=1)
+
+
+def _grid_with_zero_cells(rng, frames, symbols):
+    """Dirichlet rows with about a third of the cells set to zero probability,
+    the first and last columns included; every row keeps some mass."""
+    width = len(symbols) + 1
+    probs = rng.dirichlet(np.ones(width), size=frames)
+    probs[rng.random(probs.shape) < 0.35] = 0.0
+    probs[:, 0][::3] = probs[:, -1][1::3] = 0.0
+    probs[probs.sum(axis=1) == 0, 1] = 1.0
+    with np.errstate(divide="ignore"):
+        return PosteriorGrid.renormalized("u", Alphabet(symbols), np.log(probs))
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 2.5])
+@pytest.mark.parametrize("seed, k, frames, symbols", [
+    (0, 1, 1, 1), (1, 16, 9, 2), (2, 7, 40, 6), (3, 2500, 30, 14)])
+def test_sample_paths_equals_per_frame_searchsorted(seed, k, frames, symbols, temperature):
+    """Counting the cdf entries <= u is the right-side insertion index, block
+    by block: on grids with zero-probability cells (runs of equal cdf
+    entries), at temperatures other than 1, and at k = 2500, whose
+    2500 x 30 x 15 cells span two blocks."""
+    grid = _grid_with_zero_cells(np.random.default_rng(seed), frames,
+                                 tuple(f"p{i}" for i in range(symbols)))
+    assert (grid.logp == LOG_ZERO).any() or frames == 1
+    got = sample_paths(grid, k, np.random.default_rng(seed + 10), temperature)
+    want = _searchsorted_paths(grid, k, np.random.default_rng(seed + 10), temperature)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, 1 << 20])
+def test_sample_paths_at_a_cdf_entry_equals_per_frame_searchsorted(monkeypatch, block):
+    """A uniform equal to a cdf entry, repeated ones included, takes the
+    label after it, as ``searchsorted(side="right")`` does; so it does for
+    blocks that split the draws and the frames, down to one cell."""
+    grid = _grid_with_zero_cells(np.random.default_rng(4), 12, ("a", "b", "c", "d"))
+    cdf = _row_cdf(grid, 1.0)
+    assert (np.diff(cdf, axis=1) == 0).any()  # zero cells repeat an entry
+    # one draw per cdf entry of each frame, then per entry one ulp below, then
+    # per entry one ulp above
+    u = np.concatenate([cdf.T, np.nextafter(cdf.T, 0), np.nextafter(cdf.T, 2)])
+    monkeypatch.setattr(p2g.ctc, "_SAMPLE_BLOCK", block)
+    got = sample_paths(grid, len(u), _FixedDraws(u))
+    assert np.array_equal(got, _searchsorted_paths(grid, len(u), _FixedDraws(u)))
+
+
 # ---- beam search --------------------------------------------------------
 
 
@@ -433,3 +498,36 @@ def test_load_grids_renormalize_flag(tmp_path, tiny_alphabet):
         load_grids(p)
     g = load_grids(p, renormalize=True)[0]
     assert np.exp(g.logp).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_load_grids_builds_one_alphabet_per_symbol_list(tmp_path):
+    rng = np.random.default_rng(0)
+    lists = [("a", "b"), ("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")]
+    save_grids([synth.random_grid(rng, f"u{i}", frames=2, symbols=symbols)
+                for i, symbols in enumerate(lists)], tmp_path / "g.jsonl")
+    grids = load_grids(tmp_path / "g.jsonl")
+    assert [g.alphabet.symbols for g in grids] == lists
+    assert grids[0].alphabet is grids[1].alphabet is grids[3].alphabet
+    assert grids[2].alphabet is grids[4].alphabet
+    assert grids[2].alphabet is not grids[0].alphabet
+
+
+@pytest.mark.parametrize("symbols, logp, message", [
+    (["a", "a"], [[0.0, LOG_ZERO, LOG_ZERO]], "duplicate phoneme symbol 'a'"),
+    (["a", "b"], [[0.0, LOG_ZERO]], "logp has 2 columns, alphabet needs 3"),
+])
+def test_load_grids_refuses_a_bad_line_after_a_shared_alphabet(tmp_path, capsys,
+                                                               symbols, logp, message):
+    """A line is checked against its own symbol list whether or not an
+    earlier line built that list's ``Alphabet``."""
+    rng = np.random.default_rng(1)
+    path = tmp_path / "g.jsonl"
+    save_grids([synth.random_grid(rng, f"u{i}", frames=2, symbols=("a", "b"))
+                for i in range(2)], path)
+    bad = json.dumps({"id": "u2", "symbols": symbols,
+                      "logp": [[None if v == LOG_ZERO else v for v in row] for row in logp]})
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    assert cli.main(["beam", "--in", str(path), "--out", str(tmp_path / "b.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"g.jsonl, line 3: {message}" in err
