@@ -170,6 +170,13 @@ def _matched(records, index: dict, path: str, what: str) -> list:
     return [index[rec.utterance_id] for rec in records]
 
 
+def _refuse(path: str, rec: data.UtteranceRecord, what: str, which: str) -> None:
+    """Exit 2 at ``path``, the file ``rec`` came from: the utterance has
+    ``what``, which ``which``, so the files do not fit each other or the command."""
+    with located(path):
+        raise ValueError(f"utterance {rec.utterance_id!r} has {what}, which {which}")
+
+
 def _refs_with_grids(args, cfg: RunConfig
                      ) -> list[tuple[data.UtteranceRecord, ctc.PosteriorGrid]]:
     """(record, grid) for every refs record, matched by utterance id."""
@@ -224,13 +231,11 @@ def cmd_score(args, cfg: RunConfig) -> int:
     refs_path = _path(args, cfg, "refs")
     pairs = _nonempty(_refs_with_grids(args, cfg), refs_path)
     model = load_scorer(_path(args, cfg, "scorer"))
-    with located(refs_path):
-        for rec, _ in pairs:
-            # the scorer has no lid token for an unseen language, so the text
-            # cannot be scored: the refs file does not fit this scorer
-            if rec.text.lid not in model.languages:
-                raise ValueError(f"utterance {rec.utterance_id!r} has language "
-                                 f"{rec.text.lid!r}, which the scorer does not know")
+    for rec, _ in pairs:
+        # the scorer has no lid token for an unseen language, so the text
+        # cannot be scored: the refs file does not fit this scorer
+        if rec.text.lid not in model.languages:
+            _refuse(refs_path, rec, f"language {rec.text.lid!r}", "the scorer does not know")
     records = [(grid, rec.text) for rec, grid in pairs]
 
     def rows() -> Iterator[dict]:
@@ -270,19 +275,26 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     grids_path, refs_path = _path(args, cfg, "grids"), _path(args, cfg, "refs")
     pairs = _refs_with_grids(args, cfg)
     width = _beam_width(cfg, cfg.n_best)
+    cannot = "a training line cannot hold"
     # oversampled copies share their source's id and grid, so each grid's
-    # n-best is computed once and paired with every record's own text
-    beams: dict[str, list[ctc.ScoredHypothesis]] = {}
+    # n-best is spelled and checked once and paired with every record's own text
+    nbests: dict[str, list[tuple[str, ...]]] = {}
     lines = []
     for rec, grid in pairs:
-        if rec.utterance_id not in beams:
-            beams[rec.utterance_id] = ctc.prefix_beam_search(grid, width, cfg.n_best)
-        lines.extend(data.generate_danp(rec, beams[rec.utterance_id], grid.alphabet,
-                                        include_clean=cfg.include_clean,
-                                        grids_path=grids_path, refs_path=refs_path))
+        if data.has_line_break(rec.text.graphemes):
+            _refuse(refs_path, rec, "a line break in its text", cannot)
+        if (nbest := nbests.get(rec.utterance_id)) is None:
+            hyps = ctc.prefix_beam_search(grid, width, cfg.n_best)
+            nbest = nbests[rec.utterance_id] = [grid.alphabet.to_symbols(h.sequence) for h in hyps]
+            bad = data.unwritable_token(dict.fromkeys(tok for seq in nbest for tok in seq))
+            if bad is not None:
+                _refuse(grids_path, rec, f"the n-best phoneme token {bad!r}", cannot)
+        if cfg.include_clean and (bad := data.unwritable_token(rec.phonemes)) is not None:
+            _refuse(refs_path, rec, f"the reference phoneme token {bad!r}", cannot)
+        lines.extend(data.generate_danp(rec, nbest, cfg.include_clean))
     data.save_training_lines(lines, _path(args, cfg, "out"))
     log.info("augment: %d pairs from %d records over %d grids", len(lines),
-             len(pairs), len(beams))
+             len(pairs), len(nbests))
     return 0
 
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ctc import Alphabet, ScoredHypothesis
 from .ioutil import atomic_write, field, iter_jsonl, located, write_jsonl
 from .scorer import TargetText, lid_code, lid_token
 
@@ -60,11 +58,11 @@ class CorpusManifest:
         return dict(groups)
 
 
-def _has_line_break(graphemes: str) -> bool:
+def has_line_break(graphemes: str) -> bool:
     return "\n" in graphemes or "\r" in graphemes
 
 
-def _unwritable_token(tokens: Iterable[str]) -> str | None:
+def unwritable_token(tokens: Iterable[str]) -> str | None:
     """The first phoneme token that a training line cannot hold, one that is
     empty or has whitespace or '|'; None when there is none."""
     for tok in tokens:
@@ -83,9 +81,9 @@ def serialize_training_line(phonemes: Sequence[str], text: TargetText) -> str:
     # pieces, so it gives back the tokens only when none is empty or has whitespace
     joined = " ".join(phonemes)
     if "|" in joined or joined.split() != list(phonemes):
-        raise ValueError(f"phoneme token {_unwritable_token(phonemes)!r} "
+        raise ValueError(f"phoneme token {unwritable_token(phonemes)!r} "
                          f"is empty or contains '|' or whitespace")
-    if _has_line_break(text.graphemes):
+    if has_line_break(text.graphemes):
         raise ValueError("graphemes must not contain line breaks")
     return f"{IPA_TAG} {joined} | {lid_token(text.lid)} {text.graphemes}"
 
@@ -107,35 +105,14 @@ def parse_training_line(line: str) -> tuple[tuple[str, ...], TargetText]:
     raise ValueError(f"expected a training line {_LAYOUT!r}")
 
 
-def generate_danp(record: UtteranceRecord, hyps: Sequence[ScoredHypothesis],
-                  alphabet: Alphabet, include_clean: bool = False, *,
-                  grids_path=None, refs_path=None
-                  ) -> list[tuple[tuple[str, ...], TargetText]]:
-    """Noisy training pairs: the utterance's n-best phoneme hypotheses, in
-    beam-rank order, each paired with the record's own clean text.
-
-    The n-best depends only on the grid, so oversampled copies of a record
-    can share one ``prefix_beam_search`` result. ``include_clean`` appends
-    the record's reference phonemes as one extra pair. What no training line
-    can hold is refused, naming the utterance and the file it came from: a
-    line break in the text or a bad reference token at ``refs_path``, a bad
-    n-best token (a grid symbol) at ``grids_path``.
-    """
-    def refuse(path, what: str) -> None:
-        with located(path):
-            raise ValueError(f"utterance {record.utterance_id!r} has {what}, "
-                             "which a training line cannot hold")
-
-    if _has_line_break(record.text.graphemes):
-        refuse(refs_path, "a line break in its text")
-    pairs = [(alphabet.to_symbols(h.sequence), record.text) for h in hyps]
-    bad = _unwritable_token(dict.fromkeys(chain.from_iterable(p for p, _ in pairs)))
-    if bad is not None:
-        refuse(grids_path, f"the n-best phoneme token {bad!r}")
+def generate_danp(record: UtteranceRecord, nbest: Iterable[tuple[str, ...]],
+                  include_clean: bool = False) -> list[tuple[tuple[str, ...], TargetText]]:
+    """Noisy training pairs: each of the utterance's n-best phoneme
+    hypotheses, as symbol tuples in beam-rank order, paired with the
+    record's own clean text; ``include_clean`` appends the record's
+    reference phonemes as one extra pair."""
+    pairs = [(phonemes, record.text) for phonemes in nbest]
     if include_clean:
-        bad = _unwritable_token(record.phonemes)
-        if bad is not None:
-            refuse(refs_path, f"the reference phoneme token {bad!r}")
         pairs.append((record.phonemes, record.text))
     return pairs
 

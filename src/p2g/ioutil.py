@@ -16,22 +16,17 @@ T = TypeVar("T")
 
 
 class FormatError(ValueError):
-    """Malformed input file; the message names the path and 1-based line
-    number when known."""
-
-    def __init__(self, message: str, *, path: str | os.PathLike | None = None,
-                 line_no: int | None = None):
-        if path is not None:
-            loc = str(path) if line_no is None else f"{path}, line {line_no}"
-            message = f"{loc}: {message}"
-        super().__init__(message)
+    """Malformed input file, or input files that do not fit each other; the
+    message is located: it starts with the path, and the 1-based line number
+    when known."""
 
 
 @contextmanager
-def located(path: str | os.PathLike | None, line_no: int | None = None) -> Iterator[None]:
-    """Turn a ``ValueError`` raised in the block into a ``FormatError`` at
-    ``path`` (None: no file known) and ``line_no``; a ``FormatError`` passes
-    through unchanged.
+def located(path: str | os.PathLike, line_no: int | None = None) -> Iterator[None]:
+    """Turn a ``ValueError`` raised in the block into a ``FormatError`` whose
+    message starts ``path: `` or, with ``line_no``, ``path, line N: ``; a
+    ``FormatError`` passes through unchanged. The one place that writes a
+    location.
 
     Invalid JSON with no ``line_no`` given is placed at the decoder's line.
     An ``OverflowError`` is bad input too: a JSON integer too big for a float;
@@ -40,11 +35,13 @@ def located(path: str | os.PathLike | None, line_no: int | None = None) -> Itera
         yield
     except FormatError:
         raise
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON ({exc.msg})", path=path,
-                          line_no=exc.lineno if line_no is None else line_no) from exc
     except (ValueError, OverflowError, RecursionError) as exc:
-        raise FormatError(str(exc), path=path, line_no=line_no) from exc
+        message = str(exc)
+        if isinstance(exc, json.JSONDecodeError):
+            message = f"invalid JSON ({exc.msg})"
+            line_no = exc.lineno if line_no is None else line_no
+        where = path if line_no is None else f"{path}, line {line_no}"
+        raise FormatError(f"{where}: {message}") from exc
 
 
 def _line_constant(name: str) -> float:
@@ -138,24 +135,38 @@ def iter_json(head: dict, key: str, items: Iterable) -> Iterator[str]:
 def atomic_write(path: str | os.PathLike, pieces: Iterable[str]) -> None:
     """The one file writer: the text of ``pieces`` in order, written where and
     how ``open(path, "w")`` would write it, but atomically. The target is
-    ``path`` with its symlinks resolved; a sibling temp file, created as
-    ``open`` creates a file (0o666 less the umask) or given an existing
-    target's mode, replaces it once every piece is written, and is deleted if
-    anything raises. A piece is consumed as it is written."""
+    ``path`` with its symlinks resolved; a temp file beside it, named
+    ``.p2g-`` and 16 hex digits so that any name ``open`` can create fits,
+    created as ``open`` creates a file (0o666 less the umask) or given an
+    existing target's mode, replaces it once every piece is written, and is
+    deleted if anything raises. A piece is consumed as it is written. An
+    ``OSError`` in creating or renaming the temp file names ``path``, as
+    ``open`` would; one raised by a piece passes through as it is."""
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.urandom(8).hex()}"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp = os.path.join(os.path.dirname(target), f".p2g-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise _at(exc, path) from exc
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             with suppress(FileNotFoundError):
                 os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
             for piece in pieces:  # faster than writelines on many small pieces
                 fh.write(piece)
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise _at(exc, path) from exc
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _at(exc: OSError, path: str | os.PathLike) -> OSError:
+    """``exc`` of the same class and errno, naming ``path`` alone."""
+    return type(exc)(exc.errno, exc.strerror, os.fspath(path))
 
 
 def write_jsonl(path: str | os.PathLike, objs: Iterable) -> None:

@@ -62,8 +62,6 @@ def skm_log_marginal(grid: PosteriorGrid, y: TargetText, scorer: ConditionalScor
     """Sampled-support marginal: the distinct sequences among k path draws,
     each weighted by its exact forward score. Coincides with the exact
     marginal once sampling covers every reachable sequence."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     distinct = sorted(set(ctc.sample_k_hypotheses(grid, k, rng)))
     hyps = list(map(ScoredHypothesis, distinct, ctc.forward_logprob(grid, distinct)))
     return tkm_log_marginal(hyps, y, scorer, grid.alphabet)
@@ -77,8 +75,6 @@ def sskm_log_marginal(grid: PosteriorGrid, y: TargetText, scorer: ConditionalSco
     expectation is exactly the marginal. Duplicates are kept as a log count
     weight; the estimate depends only on the multiset of draws, not their
     order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     tally = Counter(ctc.sample_k_hypotheses(grid, k, rng))
     hyps = [ScoredHypothesis(h, math.log(n)) for h, n in sorted(tally.items())]
     return tkm_log_marginal(hyps, y, scorer, grid.alphabet) - math.log(k)

@@ -135,6 +135,12 @@ class NGramScorer:
             raise ValueError("duplicate unit in scorer inventory")
         if any(len(unit) != 1 for unit in self.units):
             raise ValueError("every scorer unit must be one character")
+        # a step reads the key of its order - 1 unit history and its window of
+        # at most 2w + 1 phonemes (none for no phonemes): another key is dead
+        need, widest = self.order - 1, 2 * self.context_window + 1
+        if any(len(hist) != need or len(win) > widest for win, hist in self.counts):
+            raise ValueError(f"a counts key that no step reads: every hist must hold "
+                             f"{need} units and every ctx at most {widest} phonemes")
         ns = list(chain.from_iterable(map(dict.values, self.counts.values())))
         if not set(map(type, ns)) <= {int} or min(ns, default=0) < 0:  # a bool is no int
             raise ValueError("every count must be an integer >= 0")

@@ -743,6 +743,40 @@ def test_failure_mid_run_leaves_no_output(workdir, tmp_path, monkeypatch, comman
     assert old.read_bytes() == before
 
 
+def _open_error(path: str) -> str:
+    """What ``p2g`` prints for the ``OSError`` of ``open(path, "w")``."""
+    try:
+        open(path, "w", encoding="utf-8").close()
+    except OSError as exc:
+        return f"p2g: {exc}\n"
+    raise AssertionError(f"open wrote {path}")
+
+
+def test_output_with_a_long_name_is_written(workdir, tmp_path):
+    """The temp file beside the output has a short name of its own, so an
+    output name of 250 bytes, which ``open`` can create, is written."""
+    short, long = tmp_path / "beam.jsonl", tmp_path / ("o" * 250)
+    for out in (short, long):
+        assert cli.main(["beam", "--in", str(workdir / "grids.jsonl"), "--out", str(out)]) == 0
+    assert long.read_bytes() == short.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([short.name, long.name])
+
+
+@pytest.mark.parametrize("out", ["nodir/out.jsonl", "isdir"])
+def test_output_open_cannot_write_exits_2_as_open_would(workdir, tmp_path, capsys,
+                                                        monkeypatch, out):
+    """An output in a missing directory, or one that is a directory, exits 2
+    with the message ``open(path, "w")`` gives, naming the path as given and
+    not the temp file, and leaves no file behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "isdir").mkdir()
+    want = _open_error(out)
+    assert cli.main(["beam", "--in", str(workdir / "grids.jsonl"), "--out", out]) == 2
+    assert capsys.readouterr().err == want
+    assert [p.name for p in tmp_path.iterdir()] == ["isdir"]
+    assert list((tmp_path / "isdir").iterdir()) == []
+
+
 def _set(key, value):
     def edit(payload):
         payload[key] = value
@@ -771,17 +805,21 @@ def _set_first_count(value):
     (lambda p: p["languages"].append("XX"), "invalid language id 'XX'"),
     (lambda p: p["languages"].append("x y"), "invalid language id 'x y'"),
     (lambda p: p["languages"].append(""), "invalid language id ''"),
+    (lambda p: p["counts"][0]["hist"].extend(["a", "b"]), "no step reads"),
+    (lambda p: p["counts"][0].update(ctx=["a"] * 5), "no step reads"),
 ], ids=["duplicate-language", "alpha-nan", "alpha-infinity", "count-negative",
         "count-fraction", "order-fraction", "order-string", "order-bool",
         "units-string", "counts-entry-not-object", "alpha-subnormal",
-        "language-upper-case", "language-space", "language-empty"])
+        "language-upper-case", "language-space", "language-empty",
+        "hist-longer-than-order", "ctx-wider-than-window"])
 def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsys,
                                                         edit, expect):
     """Scorer-file fields are type-checked, never coerced, and the scorer's
     invariants reject a NaN or infinite alpha, an alpha so small that a
-    log-prob underflows to log(0), and a count that is not a non-negative
-    integer: each is a located input error, not a crash or a silently
-    different model."""
+    log-prob underflows to log(0), a count that is not a non-negative
+    integer, and a counts key that no step reads (at order 2 and window 1,
+    a 3-unit hist or a 5-phoneme ctx): each is a located input error, not a
+    crash or a silently different model."""
     payload = json.loads((workdir / "scorer.json").read_text(encoding="utf-8"))
     edit(payload)
     bad = tmp_path / "bad.json"

@@ -10,7 +10,6 @@ from p2g.ctc import prefix_beam_search, save_grids
 from p2g.data import (
     CorpusManifest,
     UtteranceRecord,
-    _unwritable_token,
     generate_danp,
     load_manifest,
     load_training_lines,
@@ -20,6 +19,7 @@ from p2g.data import (
     save_manifest,
     save_training_lines,
     serialize_training_line,
+    unwritable_token,
 )
 from p2g.ioutil import FormatError
 from p2g.scorer import TargetText
@@ -94,11 +94,11 @@ def test_serialize_rejects_bad_tokens():
 ])
 def test_serialize_token_check_agrees_with_the_token_rule(tokens):
     """The check on the joined line refuses a line exactly when
-    ``_unwritable_token`` finds a token in it, alone or between good tokens,
+    ``unwritable_token`` finds a token in it, alone or between good tokens,
     and names that token; the empty sequence is written and read back."""
     text = TargetText("xx", "t")
     for phonemes in (tokens, ("k", *tokens), (*tokens, "t")):
-        bad = _unwritable_token(phonemes)
+        bad = unwritable_token(phonemes)
         assert (bad is None) == (tokens == ())
         if bad is None:
             assert parse_training_line(serialize_training_line(phonemes, text)) == \
@@ -174,7 +174,7 @@ def test_danp_pairs_noisy_hypotheses_with_clean_text(corpus):
     record = manifest.records[0]
     grid = by_id[record.utterance_id]
     hyps = prefix_beam_search(grid, 16, 4)
-    pairs = generate_danp(record, hyps, grid.alphabet)
+    pairs = generate_danp(record, [grid.alphabet.to_symbols(h.sequence) for h in hyps])
     assert 1 <= len(pairs) <= 4
     assert [ph for ph, _ in pairs] == [grid.alphabet.to_symbols(h.sequence) for h in hyps]
     assert all(text == record.text for _, text in pairs)
@@ -187,7 +187,8 @@ def test_danp_include_clean_appends_reference(corpus):
     record = manifest.records[2]
     grid = by_id[record.utterance_id]
     hyps = prefix_beam_search(grid, 16, 2)
-    pairs = generate_danp(record, hyps, grid.alphabet, include_clean=True)
+    pairs = generate_danp(record, [grid.alphabet.to_symbols(h.sequence) for h in hyps],
+                          include_clean=True)
     assert len(pairs) == len(hyps) + 1
     assert pairs[-1] == (record.phonemes, record.text)
 

@@ -320,6 +320,32 @@ def test_one_encoder_and_one_atomic_file_path():
     assert _modules_naming({"gc"}) == {"cli.py"}
 
 
+def test_only_readers_and_the_cli_locate_an_error():
+    """One function writes a location: ``FormatError`` is a bare
+    ``ValueError`` that only ``located`` builds. And only ``ioutil``, ``cli``
+    and the ``load_*`` readers call ``located``: a library function that
+    reads no file has no file to name."""
+    assert "__init__" not in vars(FormatError)
+    found = set()
+    for path in sorted((Path(ioutil.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        within: dict[int, set[str]] = {}  # node id -> names of enclosing functions
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    within.setdefault(id(node), set()).add(func.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            funcs = within.get(id(node), set())
+            if (name == "FormatError" and funcs != {"located"}
+                    or name == "located" and path.name not in ("ioutil.py", "cli.py")
+                    and not any(f.startswith("load_") for f in funcs)):
+                found.add(f"{path.name}:{node.lineno} {name}")
+    assert found == set()
+
+
 def test_only_scorer_spells_the_lid_tag():
     """Outside docstrings, only ``scorer`` spells the ``<lid:`` tag in a
     string: every other module writes and reads it through ``lid_token`` and

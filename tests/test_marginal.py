@@ -64,6 +64,17 @@ def test_skm_rejects_bad_k():
         skm_log_marginal(g, Y, HashScorer(), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("estimator", [skm_log_marginal, sskm_log_marginal])
+def test_k_below_one_is_refused_before_any_draw(estimator):
+    """``sample_paths`` refuses k = 0 for both sampling estimators before it
+    draws, so the generator is left as it was."""
+    g, rng = make_grid(np.random.default_rng(0)), np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        estimator(g, Y, HashScorer(), 0, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_skm_exact_under_full_coverage():
     """Once sampling hits every reachable sequence, dedup + forward weights
     reproduce the exact marginal."""

@@ -132,6 +132,29 @@ def test_scorer_rejects_bad_alpha_or_count(alpha, count):
                     counts={((), (BOS,)): {lid_token("xa"): count}})
 
 
+@pytest.mark.parametrize("order, window", [(1, 0), (2, 1), (3, 2)])
+def test_counts_keys_are_those_a_step_reads(tmp_path, order, window):
+    """A step reads the key of its ``order - 1`` unit history and its window
+    of at most ``2 * window + 1`` phonemes, none for an empty phoneme
+    sequence. A trained scorer holds only such keys and loads back; a key
+    with a longer or shorter history, or a wider window, is refused, as no
+    step would ever read it."""
+    pairs = [((), TargetText("xx", "a")), (tuple("katmu"), TargetText("xx", "kat"))]
+    scorer = train_scorer(pairs, order=order, smoothing_alpha=0.1, context_window=window)
+    widths = {len(win) for win, _ in scorer.counts}
+    assert min(widths) == 0 and max(widths) == 2 * window + 1
+    assert {len(hist) for _, hist in scorer.counts} == {order - 1}
+    save_scorer(scorer, tmp_path / "scorer.json")
+    assert load_scorer(tmp_path / "scorer.json") == scorer
+    head = (BOS,) * (order - 1)
+    dead = [((), head + (BOS,)), (("k",) * (2 * window + 2), head)]
+    for key in dead + [((), head[1:])] * (order > 1):
+        with pytest.raises(ValueError, match="no step reads"):
+            NGramScorer(order=order, smoothing_alpha=0.1, context_window=window,
+                        languages=scorer.languages, units=scorer.units,
+                        counts={**scorer.counts, key: {EOS: 1}})
+
+
 @pytest.mark.parametrize("count, ok", [(1, True), (2, False)])
 def test_subnormal_alpha_is_refused_only_where_a_log_prob_underflows(count, ok):
     """alpha / (count + alpha * |C|) is alpha itself at a count of 1, and
