@@ -59,6 +59,7 @@ class CorpusManifest:
 
 
 def has_line_break(graphemes: str) -> bool:
+    """Whether ``graphemes`` holds a line break, which no training line can."""
     return "\n" in graphemes or "\r" in graphemes
 
 
