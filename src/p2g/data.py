@@ -134,8 +134,6 @@ def oversample_manifest(manifest: CorpusManifest, target_hours: float,
     groups = manifest.by_language()
     for lang in sorted(groups):
         pool = groups[lang]
-        if not pool:
-            raise ValueError(f"language {lang!r} has no records to sample from")
         hours = sum(rec.dur_sec for rec in pool) / 3600.0
         while hours < target_hours:
             pick = pool[int(rng.integers(len(pool)))]

@@ -62,8 +62,6 @@ def decode(grid: PosteriorGrid, scorer: ConditionalScorer, k: int, s: int,
     sequences. Weight normalization is on by default here: it never changes
     the ranking but makes pool scores comparable across utterances.
     """
-    if k < 1 or s < 1:
-        raise ValueError("k and s must be >= 1")
     hyps = ctc.prefix_beam_search(grid, beam_width, k)
     candidates = [scorer.generate_top_s(grid.alphabet.to_symbols(h.sequence), s, max_len)
                   for h in hyps]

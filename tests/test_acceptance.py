@@ -1,7 +1,8 @@
 """Acceptance suite: one test per shipped guarantee, at fixed tolerances.
 
-c01-c10 and the sampler check are the oracle checks of ``p2g.selftest``,
-run here at full scale (c08 under its own test name, the rest as cases of
+c01 and c03-c10 (c01 holds the old c02's bound on the forward's sum) and
+the sampler check are the oracle checks of ``p2g.selftest``, run here at
+full scale (c08 under its own test name, the rest as cases of
 one parametrized test); ``p2g selftest`` runs a prefix of the same instance
 streams at the same tolerances. Each case prints its result line (visible
 with ``pytest -s``). c11 writes files, so it lives only here.

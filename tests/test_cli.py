@@ -108,6 +108,23 @@ def test_non_string_config_path_exits_1(tmp_path, workdir, capsys):
     assert "paths" in capsys.readouterr().err
 
 
+def test_missing_out_exits_1(workdir, capsys):
+    assert cli.main(["beam", "--in", str(workdir / "grids.jsonl")]) == 1
+    assert capsys.readouterr().err == "p2g: missing --out (or config paths.out)\n"
+
+
+def test_unknown_log_level_falls_back_to_warning(workdir, tmp_path, monkeypatch):
+    """``P2G_LOG`` that names no logging level logs at WARNING, and the
+    command runs."""
+    config = {}
+    monkeypatch.setenv("P2G_LOG", "bogus")
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: config.update(kwargs))
+    out = tmp_path / "beam.jsonl"
+    assert cli.main(["beam", "--in", str(workdir / "grids.jsonl"), "--out", str(out)]) == 0
+    assert config["level"] == logging.WARNING
+    assert out.exists()
+
+
 # every subcommand's option strings, recorded before the options were
 # declared in one table; a refactor of the parser must keep them all
 FLAG_SURFACE = {
@@ -301,31 +318,69 @@ def test_deeply_nested_json_exits_2_naming_the_file(workdir, tmp_path, capsys, s
     assert not out.exists()
 
 
-@pytest.mark.parametrize("reader", ["grids", "manifest", "hyps", "training"])
+@pytest.mark.parametrize("source", ["scorer", "config"])
+def test_a_json_file_that_is_not_an_object_exits_2_naming_the_file(workdir, tmp_path, capsys,
+                                                                   source):
+    """A scorer file or a config file that is JSON, but an array and not an
+    object, exits 2 naming the file."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    grids = str(workdir / "grids.jsonl")
+    if source == "scorer":
+        argv = ["decode", "--grids", grids, "--scorer", str(bad)]
+        expect = "not a scorer file"
+    else:
+        argv = ["beam", "--in", grids, "--config", str(bad)]
+        expect = "config must be a JSON object"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"p2g: {bad}: {expect}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["grids", "manifest", "hyps", "training", "blank-line",
+                                    "not-an-object", "repeat-not-a-boolean"])
 def test_every_line_reader_locates_a_bad_record(workdir, tmp_path, capsys, reader):
-    """A bad record on line 3 of any line-oriented input exits 2 and names
-    the file and line, whichever check refuses it."""
+    """A bad record on the last line of any line-oriented input exits 2 and
+    names the file, the line and the fault, whichever check refuses it. A
+    line of only whitespace is skipped, and the lines after it keep their
+    own numbers."""
     bad = tmp_path / "bad"
     out = str(tmp_path / "out")
+    grids = _first_lines(workdir / "grids.jsonl")
+    bad_grid = '{"id": "u", "symbols": ["a"], "logp": [[0.0, "x"]]}'
+    beam = ["beam", "--in", str(bad), "--out", out]
+    balance = ["balance", "--in", str(bad), "--out", out, "--seed", "1"]
+    record = {"id": "u", "lang": "xx", "dur_sec": 1.0, "phonemes": [], "text": ""}
     if reader == "grids":
-        lines = _first_lines(workdir / "grids.jsonl") + [
-            '{"id": "u", "symbols": ["a"], "logp": [[0.0, "x"]]}']
-        argv = ["beam", "--in", str(bad), "--out", out]
+        lines, argv = grids + [bad_grid], beam
+        expect = "a logp cell is neither a number nor null"
+    elif reader == "blank-line":
+        lines, argv = [grids[0], " \t ", grids[1], bad_grid], beam
+        expect = "a logp cell is neither a number nor null"
+    elif reader == "not-an-object":
+        lines, argv, expect = grids + ["[1, 2]"], beam, "expected a JSON object"
     elif reader == "manifest":
-        lines = _first_lines(workdir / "manifest.jsonl") + [json.dumps(
-            {"id": "u", "lang": "xx", "dur_sec": -1.0, "phonemes": [], "text": ""})]
-        argv = ["balance", "--in", str(bad), "--out", out, "--seed", "1"]
+        lines = _first_lines(workdir / "manifest.jsonl") + [
+            json.dumps({**record, "dur_sec": -1.0})]
+        argv, expect = balance, "dur_sec must be a positive duration"
+    elif reader == "repeat-not-a-boolean":
+        lines = _first_lines(workdir / "manifest.jsonl") + [
+            json.dumps({**record, "repeat": 1})]
+        argv, expect = balance, "field 'repeat' must be a boolean"
     elif reader == "hyps":
         row = json.dumps({"id": "u1", "lid": "xx", "text": "t"})
         lines = [row, json.dumps({"id": "u2", "lid": "xx", "text": "t"}), row]
         argv = ["eval", "--refs", str(workdir / "manifest.jsonl"),
                 "--hyps", str(bad), "--out", out]
+        expect = "duplicate utterance id 'u1'"
     else:
         lines = _first_lines(workdir / "train.txt") + ["<ipa> a b <lid:xx> ab"]
         argv = ["train-scorer", "--in", str(bad), "--out", out]
+        expect = "expected a training line '<ipa> p1 p2 ... | <lid:xx> graphemes'"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(argv) == 2
-    assert f"{bad}, line 3" in capsys.readouterr().err
+    assert f"p2g: {bad}, line {len(lines)}: {expect}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, expect", [
@@ -807,19 +862,20 @@ def _set_first_count(value):
     (lambda p: p["languages"].append(""), "invalid language id ''"),
     (lambda p: p["counts"][0]["hist"].extend(["a", "b"]), "no step reads"),
     (lambda p: p["counts"][0].update(ctx=["a"] * 5), "no step reads"),
+    (_set("version", 2), "unsupported scorer version 2"),
 ], ids=["duplicate-language", "alpha-nan", "alpha-infinity", "count-negative",
         "count-fraction", "order-fraction", "order-string", "order-bool",
         "units-string", "counts-entry-not-object", "alpha-subnormal",
         "language-upper-case", "language-space", "language-empty",
-        "hist-longer-than-order", "ctx-wider-than-window"])
+        "hist-longer-than-order", "ctx-wider-than-window", "version-2"])
 def test_decode_with_malformed_scorer_inventory_exits_2(workdir, tmp_path, capsys,
                                                         edit, expect):
     """Scorer-file fields are type-checked, never coerced, and the scorer's
     invariants reject a NaN or infinite alpha, an alpha so small that a
     log-prob underflows to log(0), a count that is not a non-negative
     integer, and a counts key that no step reads (at order 2 and window 1,
-    a 3-unit hist or a 5-phoneme ctx): each is a located input error, not a
-    crash or a silently different model."""
+    a 3-unit hist or a 5-phoneme ctx), and a file of another version: each
+    is a located input error, not a crash or a silently different model."""
     payload = json.loads((workdir / "scorer.json").read_text(encoding="utf-8"))
     edit(payload)
     bad = tmp_path / "bad.json"
@@ -952,6 +1008,44 @@ def test_selftest_catches_beam_mutation(monkeypatch, capsys):
     monkeypatch.setattr(p2g.ctc, "prefix_beam_search", swapped)
     assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("defect, off", [
+    ("short-of-the-target", "['ky', 'nl', 'ru', 'sv', 'tr', 'tt']"),
+    ("high-resource-row-changed", "['en']"),
+], ids=["short-of-the-target", "high-resource-row-changed"])
+def test_selftest_catches_oversampling_mutation(monkeypatch, defect, off):
+    """c09 fails when a low-resource language ends short of the target hours,
+    and when a row of a language above the target changes, even with its
+    hours and repetition factor kept."""
+    real = p2g.data.oversample_manifest
+
+    def mutated(manifest, target_hours, rng):
+        if defect == "short-of-the-target":
+            return real(manifest, target_hours / 2, rng)
+        records = list(real(manifest, target_hours, rng).records)
+        first = next(i for i, rec in enumerate(records) if rec.lang == "en")
+        records[first] = dataclasses.replace(records[first], phonemes=("q",))
+        return CorpusManifest(records=tuple(records))
+
+    monkeypatch.setattr(p2g.data, "oversample_manifest", mutated)
+    result = selftest.c09_oversampling(full=False)
+    assert not result.passed
+    assert f"languages off: {off};" in result.detail
+
+
+def test_selftest_catches_round_trip_mutation(monkeypatch):
+    """c10 fails when reading a training line back gives another pair."""
+    real = p2g.data.parse_training_line
+
+    def lossy(line):
+        phonemes, text = real(line)
+        return phonemes[:-1], text
+
+    monkeypatch.setattr(p2g.data, "parse_training_line", lossy)
+    result = selftest.c10_round_trip(full=False)
+    assert not result.passed
+    assert result.detail.startswith("mismatch on ")
 
 
 def test_selftest_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):

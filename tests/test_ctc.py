@@ -232,6 +232,12 @@ def test_sampler_never_picks_zero_mass(tiny_alphabet):
     assert not (paths == 2).any()
 
 
+def test_sample_paths_refuses_a_temperature_of_zero(tiny_alphabet):
+    g = PosteriorGrid("u", tiny_alphabet, np.log(np.full((2, 3), 1.0 / 3.0)))
+    with pytest.raises(ValueError, match=r"^temperature must be positive$"):
+        sample_paths(g, 2, np.random.default_rng(0), temperature=0.0)
+
+
 def test_low_temperature_concentrates(tiny_alphabet):
     probs = np.array([[0.1, 0.6, 0.3]] * 3)
     g = PosteriorGrid("u", tiny_alphabet, np.log(probs))
@@ -531,3 +537,32 @@ def test_load_grids_refuses_a_bad_line_after_a_shared_alphabet(tmp_path, capsys,
     assert cli.main(["beam", "--in", str(path), "--out", str(tmp_path / "b.jsonl")]) == 2
     err = capsys.readouterr().err
     assert f"g.jsonl, line 3: {message}" in err
+
+
+_NO_FRAMES = '{"id": "u", "symbols": ["a"], "logp": []}'
+_NULL_ROW = '{"id": "u", "symbols": ["a"], "logp": [[0.0, null], [null, null]]}'
+
+
+@pytest.mark.parametrize("line, renormalize, message", [
+    ('{"id": "", "symbols": ["a"], "logp": [[0.0, null]]}', False,
+     "utterance_id must be non-empty"),
+    (_NO_FRAMES, False, "logp must be a T x (V+1) matrix with T >= 1"),
+    (_NO_FRAMES, True, "logp must be a T x (V+1) matrix with T >= 1"),
+    (_NULL_ROW, False, "grid row with zero total probability"),
+    (_NULL_ROW, True, "grid row with zero total probability"),
+], ids=["empty-id", "no-frames", "no-frames-renormalized", "null-row",
+        "null-row-renormalized"])
+def test_load_grids_refuses_a_grid_no_constructor_builds(tmp_path, capsys, line,
+                                                        renormalize, message):
+    """An empty id, a grid of no frames and a frame whose cells are all null
+    exit 2 at their line, with or without ``--renormalize``: the two
+    constructors check the frame count each, and no renormalization gives
+    mass to a frame that has none."""
+    path = tmp_path / "g.jsonl"
+    save_grids([synth.random_grid(np.random.default_rng(1), "u0", frames=2,
+                                  symbols=("a",))], path)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    argv = ["beam", "--in", str(path), "--out", str(tmp_path / "b.jsonl")]
+    assert cli.main(argv + (["--renormalize"] if renormalize else [])) == 2
+    assert f"p2g: {path}, line 2: {message}\n" in capsys.readouterr().err

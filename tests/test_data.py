@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from p2g import cli
+from p2g import cli, synth
 from p2g.ctc import prefix_beam_search, save_grids
 from p2g.data import (
     CorpusManifest,
@@ -45,6 +45,11 @@ def test_record_validation():
         rec(dur=float("nan"))
     with pytest.raises(ValueError):
         UtteranceRecord("u", "xx", 1.0, ("k",), TargetText("yy", "t"))
+
+
+def test_build_corpus_refuses_no_utterances():
+    with pytest.raises(ValueError, match=r"^utts_per_lang must be >= 1$"):
+        synth.build_corpus(1, 0)
 
 
 def test_manifest_grouping():

@@ -91,6 +91,16 @@ def test_decode_result_shape(trained_scorer, corpus):
     assert res.best == res.pool[0][0]
 
 
+@pytest.mark.parametrize("k, s, message", [(0, 2, "k must be >= 1"), (2, 0, "s must be >= 1")],
+                         ids=["k-0", "s-0"])
+def test_decode_refuses_k_or_s_below_one(trained_scorer, corpus, k, s, message):
+    """The beam refuses k and text generation refuses s; ``decode`` passes
+    both on unchecked."""
+    grids, _ = corpus
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        decode(grids[0], trained_scorer, k=k, s=s, beam_width=16)
+
+
 def test_decode_normalization_never_changes_ranking(trained_scorer, corpus):
     grids, _ = corpus
     a = decode(grids[1], trained_scorer, 4, 3, beam_width=16, max_len=8,

@@ -5,7 +5,7 @@ import pytest
 
 from p2g import oracles
 from p2g.ctc import ScoredHypothesis, forward_logprob, prefix_beam_search, sample_k_hypotheses
-from p2g.logmath import log_sum
+from p2g.logmath import LOG_ZERO, log_sum
 from p2g.marginal import (
     batch_objective,
     skm_log_marginal,
@@ -175,3 +175,19 @@ def test_batch_objective_method_routing():
 def test_batch_objective_rejects_empty():
     with pytest.raises(ValueError):
         batch_objective([], HashScorer(), "tkm", 4, seed=0, beam_width=16)
+
+
+def test_batch_objective_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match=r"^unknown method 'x'$"):
+        batch_objective(_records(1, 34), HashScorer(), "x", 4, seed=0, beam_width=16)
+
+
+def test_derive_rng_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be non-negative$"):
+        derive_rng(-1, "u")
+
+
+@pytest.mark.parametrize("values", [[], [LOG_ZERO], [LOG_ZERO, LOG_ZERO]],
+                         ids=["empty", "one-zero", "two-zeros"])
+def test_log_sum_of_no_mass_is_log_zero(values):
+    assert log_sum(values) == LOG_ZERO

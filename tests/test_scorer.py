@@ -302,6 +302,8 @@ def test_generation_rejects_bad_args(trained_scorer):
         trained_scorer.generate_top_s(("a",), 0)
     with pytest.raises(ValueError):
         trained_scorer.generate_top_s(("a",), 2, max_len=-1)
+    with pytest.raises(ValueError, match=r"^beam_width must be >= 1$"):
+        trained_scorer.generate_top_s(("a",), 2, beam_width=0)
 
 
 # ---- persistence --------------------------------------------------------
